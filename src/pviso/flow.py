@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvariantDriftError, OriginError, PathError
-from .linalg import J, commutator, det2, mat_norm, tr2
+from .errors import InvariantDriftError, OriginError, PathError, PvisoValueError
+from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
 from .series import Parameters, Truncation, domain_check, series_A_pair
 
@@ -46,10 +46,10 @@ class FlowState:
             if abs(tr2(self.A0)) > _SEED_CHECK_TOL * scale or abs(
                 tr2(self.Ax)
             ) > _SEED_CHECK_TOL * scale:
-                raise ValueError("flow state requires traceless A0, Ax")
+                raise PvisoValueError("flow state requires traceless A0, Ax")
             b = self.A0[0, 0] + self.Ax[0, 0] + self.params.thetainf / 2.0
             if abs(b) > 1e-9 * scale:
-                raise ValueError(
+                raise PvisoValueError(
                     "flow state requires (A0+Ax)_11 = -thetainf/2, defect "
                     f"{abs(b):.3e}"
                 )
@@ -69,13 +69,32 @@ class RefineResult(NamedTuple):
     diagnostic: float
 
 
+def _flow_field(x0: complex, u: complex):
+    """The flow's vector field along x = x0 + t u, as scalar arithmetic.
+
+    With y = (A0 | Ax) row by row and P = [Ax, A0]/x (P_11 = -P_00 since
+    a commutator is traceless), dA0/dt = u P and
+    dAx/dt = u (-P + [J, Ax]/2), where [J, Ax]/2 has off-diagonal
+    (Ax_01, -Ax_10).
+    """
+
+    def f(t, y):
+        a, b, c, d, e, g, k, m = y
+        w = u / (x0 + t * u)
+        p00 = (g * c - b * k) * w
+        p01 = (b * (e - m) - g * (a - d)) * w
+        p10 = (k * (a - d) - c * (e - m)) * w
+        return (p00, p01, p10, -p00, -p00, u * g - p01, -u * k - p10, p00)
+
+    return f
+
+
 def rhs(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
     """(dA0/dx, dAx/dx) at the state's point."""
     if s.x == 0:
         raise OriginError("the vector field is singular at x = 0")
-    dA0 = commutator(s.Ax, s.A0) / s.x
-    dAx = (commutator(s.A0, s.Ax) + (s.x / 2.0) * commutator(J, s.Ax)) / s.x
-    return dA0, dAx
+    dy = _flow_field(s.x, 1.0)(0.0, [*s.A0.ravel().tolist(), *s.Ax.ravel().tolist()])
+    return mat(*dy[:4]), mat(*dy[4:])
 
 
 def _segment_min_abs(a: complex, b: complex) -> float:
@@ -90,20 +109,11 @@ def _segment_min_abs(a: complex, b: complex) -> float:
 
 
 def _transport_segment(x0, A0, Ax, x1, tol, max_step):
-    u = (x1 - x0) / abs(x1 - x0)
-    y0 = np.concatenate([A0.reshape(4), Ax.reshape(4)])
     length = abs(x1 - x0)
+    y0 = [*A0.ravel().tolist(), *Ax.ravel().tolist()]
     # tighten with length so accumulated drift stays within the budget
     tol_local = tol * min(1.0, 10.0 / max(length, 1.0))
-
-    def f(t, y):
-        x = x0 + t * u
-        a0 = y[:4].reshape(2, 2)
-        ax = y[4:].reshape(2, 2)
-        d0 = commutator(ax, a0) / x
-        dx = (commutator(a0, ax) + (x / 2.0) * commutator(J, ax)) / x
-        return np.concatenate([d0.reshape(4), dx.reshape(4)]) * u
-
+    f = _flow_field(x0, (x1 - x0) / length)
     y1 = integrate_rk54(f, 0.0, length, y0, tol_local, max_step=max_step)
     return y1[:4].reshape(2, 2), y1[4:].reshape(2, 2)
 

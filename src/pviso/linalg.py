@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import PvisoValueError, SingularMatrixError
 
 __all__ = [
     "I2",
@@ -130,7 +130,7 @@ class BranchedLog:
         argument nearest the hint instead of the principal one."""
         z = complex(z)
         if z == 0:
-            raise ValueError("branched log of 0")
+            raise PvisoValueError("branched log of 0")
         a = cmath.phase(z)
         if arg_hint is not None:
             k = round((arg_hint - a) / (2.0 * math.pi))

@@ -41,6 +41,7 @@ by Richardson extrapolation over R and 2R.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -94,12 +95,16 @@ class Line:
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    def point(self, t: float) -> complex:
-        u = (self.end - self.start) / self.length
-        return self.start + t * u
-
-    def velocity(self, t: float) -> complex:
+    @functools.cached_property
+    def direction(self) -> complex:
         return (self.end - self.start) / self.length
+
+    def point(self, t: float) -> complex:
+        return self.start + t * self.direction
+
+    def locate(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at arclength t."""
+        return self.start + t * self.direction, self.direction
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,14 @@ class Arc:
     def length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
 
-    def _angle(self, t: float) -> float:
-        s = 1.0 if self.angle_end >= self.angle_start else -1.0
-        return self.angle_start + s * t / self.radius
-
     def point(self, t: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self._angle(t))
+        return self.locate(t)[0]
 
-    def velocity(self, t: float) -> complex:
+    def locate(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at arclength t, from one complex exponential."""
         s = 1.0 if self.angle_end >= self.angle_start else -1.0
-        return 1j * s * cmath.exp(1j * self._angle(t))
+        e = cmath.exp(1j * (self.angle_start + s * t / self.radius))
+        return self.center + self.radius * e, 1j * s * e
 
     @property
     def start(self) -> complex:
@@ -298,22 +301,46 @@ def normalized_frame(
 # transport
 
 
+def _linear_field(s: FlowState, piece: Piece):
+    """The linear system's vector field along ``piece``, as scalar
+    arithmetic on Y row by row: dY/dt = (C v) Y with
+    C v = A0 v/lambda + Ax v/(lambda - x) + (v/2) J, v the velocity."""
+    a, b, c, d = s.A0.ravel().tolist()
+    e, g, k, m = s.Ax.ravel().tolist()
+    x = s.x
+    locate = piece.locate
+
+    def f(t, y):
+        lam, v = locate(t)
+        p = v / lam
+        q = v / (lam - x)
+        h = 0.5 * v
+        c00 = a * p + e * q + h
+        c01 = b * p + g * q
+        c10 = c * p + k * q
+        c11 = d * p + m * q - h
+        y0, y1, y2, y3 = y
+        return (
+            c00 * y0 + c01 * y2,
+            c00 * y1 + c01 * y3,
+            c10 * y0 + c11 * y2,
+            c10 * y1 + c11 * y3,
+        )
+
+    return f
+
+
 def _transfer(s: FlowState, pieces: Sequence[Piece], tol: float) -> np.ndarray:
     """Transfer matrix of the linear system along the concatenated pieces.
 
     The integrator tolerance is tightened with the total arclength so the
     accumulated error (and the determinant drift) stays within 100*tol.
     """
-    A0, Ax, x = s.A0, s.Ax, s.x
     total = sum(piece.length for piece in pieces)
     tol_local = tol * min(1.0, 10.0 / max(total, 1.0))
     W = np.array(I2, dtype=complex)
     for piece in pieces:
-        def f(t, y, piece=piece):
-            lam = piece.point(t)
-            C = A0 / lam + Ax / (lam - x) + 0.5 * J
-            return ((C @ y.reshape(2, 2)) * piece.velocity(t)).reshape(4)
-
+        f = _linear_field(s, piece)
         W = integrate_rk54(f, 0.0, piece.length, W.reshape(4), tol_local).reshape(2, 2)
     drift = abs(det2(W) - 1.0)
     if drift > 100.0 * tol * max(1.0, mat_norm(W) ** 2):

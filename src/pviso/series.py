@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError, ZeroConstantError
+from .errors import DegenerateParameterError, DomainError, PvisoValueError, ZeroConstantError
 from .linalg import DELTA_MINUS, DELTA_PLUS, J, BranchedLog, branched_power, mat
 
 __all__ = [
@@ -200,12 +200,28 @@ def domain_check(
           < Re x <
       (1-Re sigma) log|x| + Im sigma * arg x - log(1/eps).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     x = complex(x)
     if x == 0:
+        _check_eps(eps)
         return False
-    ax = _branched(x, arg_x).tracked_arg
+    return _in_strip(p, x, eps, _branched(x, arg_x).tracked_arg, delta, x_floor)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise PvisoValueError("eps must lie in (0, 1)")
+
+
+def _in_strip(
+    p: Parameters,
+    x: complex,
+    eps: float,
+    ax: float,
+    delta: float = DEFAULT_DELTA,
+    x_floor: float = DEFAULT_X_FLOOR,
+) -> bool:
+    """domain_check for a nonzero x whose argument ``ax`` is already tracked."""
+    _check_eps(eps)
     if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - delta:
         return False
     if abs(x) <= x_floor:
@@ -451,7 +467,7 @@ def series_A_pair(
     order = Truncation(order)
     x = complex(x)
     bl = _branched(x, arg_x)
-    if check_domain and not domain_check(p, x, eps, arg_x=bl.tracked_arg):
+    if check_domain and not _in_strip(p, x, eps, bl.tracked_arg):
         raise DomainError(f"x = {x} outside the admissible strip (eps = {eps})")
 
     s, ti = p.sigma, p.thetainf

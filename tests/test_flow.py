@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pviso.errors import OriginError, PathError
-from pviso.flow import FlowState, integrate, refine_from_series, rhs
-from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, det2, mat_norm, tr2
+from pviso.errors import OriginError, PathError, PvisoValueError
+from pviso.flow import FlowState, _flow_field, integrate, refine_from_series, rhs
+from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
 from pviso.series import Parameters, Truncation, series_A_pair
 
 P1 = Parameters(
@@ -50,6 +50,34 @@ def test_rhs_origin_error():
     s.x = 0.0
     with pytest.raises(OriginError):
         rhs(s)
+
+
+def test_flow_field_matches_matrix_formula():
+    # the scalar field the transport steps, against x dA0/dx = [Ax, A0],
+    # x dAx/dx = [A0, Ax] + (x/2)[J, Ax] in 2x2 matrix arithmetic, times
+    # the segment direction u
+    x0, x1 = 200j, 5.0 + 30j
+    length = abs(x1 - x0)
+    u = (x1 - x0) / length
+    f = _flow_field(x0, u)
+    for xs in (200j, 60j):
+        ab = series_A_pair(P1, xs)
+        y = [*ab.A0.ravel().tolist(), *ab.Ax.ravel().tolist()]
+        for t in (0.0, 0.37 * length, length):
+            x = x0 + t * u
+            d0 = commutator(ab.Ax, ab.A0) / x * u
+            dx = (commutator(ab.A0, ab.Ax) + (x / 2.0) * commutator(J, ab.Ax)) / x * u
+            ref = np.concatenate([d0.ravel(), dx.ravel()])
+            got = np.array(f(t, y))
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_flow_state_validation_raises_value_error():
+    ab = series_A_pair(P1, 200j)
+    with pytest.raises(PvisoValueError):
+        FlowState(x=ab.x, A0=ab.A0 + np.eye(2), Ax=ab.Ax, params=P1)
+    with pytest.raises(PvisoValueError):
+        FlowState(x=ab.x, A0=ab.A0 + 0.1 * J, Ax=ab.Ax, params=P1)
 
 
 def test_integrate_noop():

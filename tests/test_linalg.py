@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import SingularMatrixError
+from pviso.errors import PvisoValueError, SingularMatrixError
 from pviso.linalg import (
     DELTA_MINUS,
     DELTA_PLUS,
@@ -62,6 +62,11 @@ def test_branched_log_roundtrip():
     for z in (1 + 2j, -3.5 + 0.1j, 1e-4j, -7.0 + 0j):
         bl = BranchedLog.from_point(z)
         assert abs(bl.point - z) <= 1e-13 * abs(z)
+
+
+def test_branched_log_of_zero_raises():
+    with pytest.raises(PvisoValueError):
+        BranchedLog.from_point(0.0)
 
 
 def test_branched_log_continuity_two_turns():

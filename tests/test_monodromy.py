@@ -17,6 +17,7 @@ from pviso.monodromy import (
     loop_around_x,
     monodromy,
     normalized_frame,
+    _linear_field,
 )
 from pviso.series import Parameters
 
@@ -74,6 +75,27 @@ def test_normalized_frame_residual_decays(state40):
 
     r1, r2 = residual(250.0), residual(500.0)
     assert r2 <= r1 / 3.0
+
+
+def test_linear_field_matches_matrix_formula(state40):
+    # the scalar field the transfers step, against (A0/lambda +
+    # Ax/(lambda - x) + J/2) @ Y times the piece velocity
+    rng = np.random.default_rng(1)
+    Y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    half = math.pi / 2.0
+    pieces = (
+        Line(200j, 41j),
+        Arc(40j, 1.0, half, half + 2.0 * math.pi),
+        Arc(0.0, 200.0, 3.0 * half, half),
+    )
+    for piece in pieces:
+        f = _linear_field(state40, piece)
+        for t in (0.0, 0.3 * piece.length, piece.length):
+            lam, v = piece.locate(t)
+            C = state40.A0 / lam + state40.Ax / (lam - state40.x) + 0.5 * J
+            ref = ((C @ Y) * v).ravel()
+            got = np.array(f(t, Y.ravel().tolist()))
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_continue_along_empty_path(state40):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import DegenerateParameterError, DomainError, ZeroConstantError
+from pviso.errors import DegenerateParameterError, DomainError, PvisoValueError, ZeroConstantError
 from pviso.linalg import commutator, det2, mat_norm
 from pviso.series import (
     DegenerateKind,
@@ -257,6 +257,26 @@ def test_domain_check_examples():
     hi = (1.0 - 3.0) * math.log(100.0) + math.log(0.1)
     assert 0.0 > hi or not domain_check(p3, 100j, 0.1)
     assert domain_check(p3, 100j, 0.1) is False
+
+
+def test_series_domain_gate_agrees_with_domain_check():
+    # series_A_pair tests the strip on its already-branched argument
+    for x in (5j, 30j, 100j, 400j, -20.0 + 100j, 25.0 + 100j, 100.0 + 1j, -100j):
+        for arg_x in (None, math.pi / 2.0 + 2.0 * math.pi):
+            inside = domain_check(P1, x, 0.1, arg_x=arg_x)
+            try:
+                series_A_pair(P1, x, arg_x=arg_x)
+                raised = False
+            except DomainError:
+                raised = True
+            assert raised is not inside
+    for eps in (0.0, 1.0, -0.5):
+        with pytest.raises(PvisoValueError):
+            domain_check(P1, 100j, eps)
+        with pytest.raises(PvisoValueError):
+            series_A_pair(P1, 100j, eps=eps)
+    with pytest.raises(PvisoValueError):
+        domain_check(P1, 0.0, 2.0)
 
 
 def test_series_outside_domain_raises():
