@@ -80,18 +80,44 @@ def _params_from_config(cfg: dict, args) -> Parameters:
     missing = [k for k in _PARAM_KEYS if k not in raw]
     if missing:
         raise PvisoValueError(f"missing parameters: {', '.join(missing)}")
-    return Parameters(**{k: _w2c(raw[k]) for k in _PARAM_KEYS})
+    values = {k: _w2c(raw[k]) for k in _PARAM_KEYS}
+    for k, v in values.items():
+        if not cmath.isfinite(v):
+            raise PvisoValueError(f"parameter {k} is not finite: {v}")
+    return Parameters(**values)
 
 
 def _params_to_wire(p: Parameters) -> dict:
     return {k: _c2w(getattr(p, k)) for k in _PARAM_KEYS}
 
 
-def _opt(cfg: dict, args, name: str, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return cfg.get("options", {}).get(name, default)
+# option -> coercion of its value, given by flag or in the config's
+# "options"; every given option is coerced before a command runs, so a
+# malformed value is a config error
+_OPTIONS = {
+    "x": _w2c,
+    "x_points": lambda v: [_w2c(z) for z in v],
+    "tol": float,
+    "seed_radius": float,
+    "radius": float,
+    "m_from": int,
+    "m_to": int,
+    "root_tol": float,
+    "refine": bool,
+    "h_values": lambda v: [float(h) for h in v],
+    "steps": int,
+    "monodromy_tol": float,
+    "monodromy": lambda v: (_w2m(v["M0"]), _w2m(v["Mx"])),
+}
+
+
+def _options(cfg: dict, args) -> dict:
+    given = dict(cfg.get("options", {}))
+    for name in _OPTIONS:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            given[name] = flag
+    return {name: conv(given[name]) for name, conv in _OPTIONS.items() if name in given}
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +129,11 @@ def _refined_state(p: Parameters, x: complex, tol: float, seed_radius: float | N
     return refine_from_series(p, float(seed), x, tol)
 
 
-def _cmd_monodromy(p: Parameters, cfg, args) -> dict:
-    x = _w2c(_opt(cfg, args, "x", [0.0, 40.0]))
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    seed = _opt(cfg, args, "seed_radius", None)
-    radius = _opt(cfg, args, "radius", None)
-    refined = _refined_state(p, x, tol, None if seed is None else float(seed))
-    md_num = monodromy.monodromy(
-        refined.state, tol, R=None if radius is None else float(radius)
-    )
+def _cmd_monodromy(p: Parameters, opts: dict) -> dict:
+    x = opts.get("x", 40j)
+    tol = opts.get("tol", 1e-12)
+    refined = _refined_state(p, x, tol, opts.get("seed_radius"))
+    md_num = monodromy.monodromy(refined.state, tol, R=opts.get("radius"))
     md_cf = closedform.closed_form_monodromy(p)
     diff = max(
         mat_norm(md_num.M0 - md_cf.M0),
@@ -130,11 +152,10 @@ def _cmd_monodromy(p: Parameters, cfg, args) -> dict:
     }
 
 
-def _cmd_flow(p: Parameters, cfg, args) -> tuple[dict, list]:
-    xs = [_w2c(v) for v in _opt(cfg, args, "x_points", [[0.0, 40.0]])]
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    seed = _opt(cfg, args, "seed_radius", None)
-    refined = _refined_state(p, xs[0], tol, None if seed is None else float(seed))
+def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
+    xs = opts.get("x_points", [40j])
+    tol = opts.get("tol", 1e-12)
+    refined = _refined_state(p, xs[0], tol, opts.get("seed_radius"))
     state = refined.state
     samples = []
     rows = []
@@ -168,11 +189,10 @@ def _flatten(m: np.ndarray) -> list[float]:
     return out
 
 
-def _cmd_evaluate(p: Parameters, cfg, args) -> tuple[dict, list]:
-    xs = [_w2c(v) for v in _opt(cfg, args, "x_points", [[0.0, 40.0]])]
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    seed = _opt(cfg, args, "seed_radius", None)
-    refined = _refined_state(p, xs[0], tol, None if seed is None else float(seed))
+def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
+    xs = opts.get("x_points", [40j])
+    tol = opts.get("tol", 1e-12)
+    refined = _refined_state(p, xs[0], tol, opts.get("seed_radius"))
     state = refined.state
     out = []
     rows = []
@@ -200,12 +220,12 @@ def _cmd_evaluate(p: Parameters, cfg, args) -> tuple[dict, list]:
     return {"points": out}, [header, rows]
 
 
-def _cmd_lattice(p: Parameters, cfg, args, kind: transcendents.LatticeKind):
-    m_from = int(_opt(cfg, args, "m_from", 10))
-    m_to = int(_opt(cfg, args, "m_to", 20))
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    root_tol = float(_opt(cfg, args, "root_tol", 1e-9))
-    do_refine = bool(_opt(cfg, args, "refine", True))
+def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
+    m_from = opts.get("m_from", 10)
+    m_to = opts.get("m_to", 20)
+    tol = opts.get("tol", 1e-12)
+    root_tol = opts.get("root_tol", 1e-9)
+    do_refine = opts.get("refine", True)
     lattice = transcendents.zero_pole_seeds(p, kind, m_from, m_to, warn=False)
     entries = []
     rows = []
@@ -246,12 +266,11 @@ def _cmd_lattice(p: Parameters, cfg, args, kind: transcendents.LatticeKind):
     return {"kind": kind.value, "rho": _c2w(lattice.rho), "table": entries}, [header, rows]
 
 
-def _cmd_tau(p: Parameters, cfg, args) -> tuple[dict, list]:
-    x = _w2c(_opt(cfg, args, "x", [0.0, 40.0]))
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    hs = [float(h) for h in _opt(cfg, args, "h_values", [4e-2, 2e-2, 1e-2])]
-    seed = _opt(cfg, args, "seed_radius", None)
-    state = _refined_state(p, x, tol, None if seed is None else float(seed)).state
+def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:
+    x = opts.get("x", 40j)
+    tol = opts.get("tol", 1e-12)
+    hs = opts.get("h_values", [4e-2, 2e-2, 1e-2])
+    state = _refined_state(p, x, tol, opts.get("seed_radius")).state
     sweeps = []
     rows = []
     for h in hs:
@@ -261,23 +280,20 @@ def _cmd_tau(p: Parameters, cfg, args) -> tuple[dict, list]:
     return {"x": _c2w(x), "sweep": sweeps}, ["h,abs_residual", rows]
 
 
-def _cmd_braid(p: Parameters, cfg, args) -> dict:
-    steps = int(_opt(cfg, args, "steps", 2))
-    stored = _opt(cfg, args, "monodromy", None)
+def _cmd_braid(p: Parameters, opts: dict) -> dict:
+    steps = opts.get("steps", 2)
+    stored = opts.get("monodromy")
     if stored is None:
         md = closedform.closed_form_monodromy(p)
     else:
-        md = monodata.MonodromyData.from_pair(
-            _w2m(stored["M0"]), _w2m(stored["Mx"]), p.thetainf
-        )
+        md = monodata.MonodromyData.from_pair(*stored, p.thetainf)
     shifted = monodata.braid_shift(md, steps, p.thetainf)
     return {"steps": steps, "input": _monodromy_to_wire(md), "shifted": _monodromy_to_wire(shifted)}
 
 
-def _cmd_verify(p: Parameters, cfg, args) -> dict:
-    tol = float(_opt(cfg, args, "tol", 1e-12))
-    x = _w2c(_opt(cfg, args, "x", [0.0, 40.0]))
-    seed = _opt(cfg, args, "seed_radius", None)
+def _cmd_verify(p: Parameters, opts: dict) -> dict:
+    tol = opts.get("tol", 1e-12)
+    x = opts.get("x", 40j)
     checks = []
 
     def check(name: str, value: float, bound: float):
@@ -293,7 +309,7 @@ def _cmd_verify(p: Parameters, cfg, args) -> dict:
     check("digamma_value", abs(digamma(2.0) - (1.0 - 0.5772156649015329)), 1e-10)
 
     # series / flow consistency
-    refined = _refined_state(p, x, tol, None if seed is None else float(seed))
+    refined = _refined_state(p, x, tol, opts.get("seed_radius"))
     state = refined.state
     check("seed_doubling_diagnostic", refined.diagnostic, 1e-5)
     b_defect = abs(state.A0[0, 0] + state.Ax[0, 0] + p.thetainf / 2.0)
@@ -310,7 +326,7 @@ def _cmd_verify(p: Parameters, cfg, args) -> dict:
     check(
         "monodromy_vs_closed_form",
         max(mat_norm(md.M0 - md_cf.M0), mat_norm(md.Mx - md_cf.Mx)),
-        float(_opt(cfg, args, "monodromy_tol", 1e-4)),
+        opts.get("monodromy_tol", 1e-4),
     )
     for name, m, theta in (("M0", md.M0, p.theta0), ("Mx", md.Mx, p.thetax)):
         check(f"det_{name}", abs(det2(m) - 1.0), 1e-10)
@@ -378,13 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _postprocess_args(args) -> None:
-    # flags given as strings for complex/list options
-    if getattr(args, "x", None) is not None:
-        args.x = _c2w(args.x)
-    if getattr(args, "x_points", None) is not None:
-        args.x_points = [_c2w(tok) for tok in args.x_points.split(";")]
-    if getattr(args, "h_values", None) is not None:
-        args.h_values = [float(tok) for tok in args.h_values.split(";")]
+    # list options arrive as ";"-separated strings
+    for name in ("x_points", "h_values"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, getattr(args, name).split(";"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -400,28 +413,29 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = json.load(fh)
         _postprocess_args(args)
         p = _params_from_config(cfg, args)
-    except (OSError, ValueError, KeyError, PvisoValueError) as exc:
+        opts = _options(cfg, args)
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     csv_payload = None
     try:
         if args.command == "monodromy":
-            result = _cmd_monodromy(p, cfg, args)
+            result = _cmd_monodromy(p, opts)
         elif args.command == "flow":
-            result, csv_payload = _cmd_flow(p, cfg, args)
+            result, csv_payload = _cmd_flow(p, opts)
         elif args.command == "evaluate":
-            result, csv_payload = _cmd_evaluate(p, cfg, args)
+            result, csv_payload = _cmd_evaluate(p, opts)
         elif args.command == "zeros":
-            result, csv_payload = _cmd_lattice(p, cfg, args, transcendents.LatticeKind.ZERO)
+            result, csv_payload = _cmd_lattice(p, opts, transcendents.LatticeKind.ZERO)
         elif args.command == "poles":
-            result, csv_payload = _cmd_lattice(p, cfg, args, transcendents.LatticeKind.POLE)
+            result, csv_payload = _cmd_lattice(p, opts, transcendents.LatticeKind.POLE)
         elif args.command == "tau":
-            result, csv_payload = _cmd_tau(p, cfg, args)
+            result, csv_payload = _cmd_tau(p, opts)
         elif args.command == "braid":
-            result = _cmd_braid(p, cfg, args)
+            result = _cmd_braid(p, opts)
         elif args.command == "verify":
-            result = _cmd_verify(p, cfg, args)
+            result = _cmd_verify(p, opts)
         else:  # pragma: no cover
             raise PvisoValueError(f"unknown command {args.command}")
     except PvisoValueError as exc:

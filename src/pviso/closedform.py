@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GammaPoleError, ResonanceError
+from .errors import ConsistencyError, GammaPoleError, ResonanceError, ZeroConstantError
 from .linalg import DELTA_MINUS, DELTA_PLUS, I2, det2, mat, mat_inv, mat_norm
 from .monodata import MonodromyData
 from .series import Parameters
@@ -137,8 +137,14 @@ def _c_half_inv(c: complex) -> tuple[np.ndarray, complex]:
     return mat(1.0 / r, 0.0, 0.0, r), r
 
 
+def _require_constants(p: Parameters) -> None:
+    if p.c0 == 0 or p.cx == 0:
+        raise ZeroConstantError("closed form needs c0 != 0 and cx != 0")
+
+
 def closed_form_factors(p: Parameters) -> ConnectionFactors:
     """All connection matrices of the closed-form monodromy description."""
+    _require_constants(p)
     s, t0, tx, ti = p.sigma, p.theta0, p.thetax, p.thetainf
     a = (s + 2.0 * t0 - ti) / 4.0
     b = (s - 2.0 * t0 - ti) / 4.0
@@ -199,6 +205,7 @@ def _entrywise(p: Parameters) -> tuple[np.ndarray, np.ndarray, complex, complex]
     tr M0 = 2 cos(pi theta0), tr Mx = 2 cos(pi thetax) and the Stokes
     product relations (MxM0)_12 = -e^(-pi i thetainf) s2,
     (MxM0)_21 = -e^(-pi i thetainf) s1."""
+    _require_constants(p)
     s, t0, tx, ti = p.sigma, p.theta0, p.thetax, p.thetainf
     a = (s + 2.0 * t0 - ti) / 4.0
     b = (s - 2.0 * t0 - ti) / 4.0

@@ -97,8 +97,9 @@ def rhs(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
     return mat(*dy[:4]), mat(*dy[4:])
 
 
-def _segment_min_abs(a: complex, b: complex) -> float:
-    """Distance from the segment [a, b] to the origin."""
+def _segment_distance(a: complex, b: complex, point: complex = 0.0) -> float:
+    """Distance from ``point`` to the segment [a, b]."""
+    a, b = a - point, b - point
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0.0:
@@ -139,7 +140,7 @@ def integrate(
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
-        if _segment_min_abs(a, b) < 1.0:
+        if _segment_distance(a, b) < 1.0:
             raise PathError(f"segment [{a}, {b}] enters the unit disk about 0")
     A0, Ax = s.A0.copy(), s.Ax.copy()
     for a, b in zip(points, points[1:]):

@@ -22,7 +22,6 @@ __all__ = [
     "DELTA_PLUS",
     "DELTA_MINUS",
     "mat",
-    "mat_mul",
     "mat_inv",
     "det2",
     "tr2",
@@ -51,10 +50,6 @@ DELTA_MINUS = _const(0, 0, 1, 0)
 def mat(a11, a12, a21, a22) -> np.ndarray:
     """Build a complex 2x2 matrix from its entries."""
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
 
 
 def det2(a: np.ndarray) -> complex:

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, PathError, RadiusError
-from .flow import FlowState
+from .flow import FlowState, _segment_distance
 from .linalg import (
     DELTA_PLUS,
     I2,
@@ -216,14 +216,7 @@ def loop_around_x(x: complex, R: float) -> LoopSpec:
 
 def _min_distance(piece: Piece, point: complex, samples: int = 129) -> float:
     if isinstance(piece, Line):
-        a, b = piece.start - point, piece.end - point
-        d = b - a
-        L2 = abs(d) ** 2
-        if L2 == 0.0:
-            return abs(a)
-        t = -((a.conjugate() * d).real) / L2
-        t = min(1.0, max(0.0, t))
-        return abs(a + t * d)
+        return _segment_distance(piece.start, piece.end, point)
     ts = np.linspace(0.0, piece.length, samples)
     return min(abs(piece.point(t) - point) for t in ts)
 

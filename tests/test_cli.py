@@ -135,3 +135,22 @@ def test_numerical_failure_exit_code(tmp_path):
     cfg = _write(tmp_path, P1_CFG)
     rc = main(["--config", cfg, "evaluate", "--x-points", "40j", "--seed-radius", "5"])
     assert rc in (2, 3)
+
+
+P1_FLAGS = [
+    "--theta0", "0.21", "--thetax", "0.16", "--thetainf", "0.11",
+    "--cx", "0.7+0.2i", "--sigma", "0.24+0.05i",
+]
+
+
+def test_zero_c0_braid_exit_code():
+    assert main([*P1_FLAGS, "--c0", "0", "braid"]) == 2
+
+
+def test_malformed_option_exit_code(tmp_path):
+    cfg = _write(tmp_path, dict(P1_CFG, options={"tol": "x"}))
+    assert main(["--config", cfg, "monodromy"]) == 2
+
+
+def test_nan_parameter_exit_code():
+    assert main([*P1_FLAGS, "--c0", "nan", "braid"]) == 2

@@ -16,13 +16,12 @@ from pviso.linalg import (
     eigvals2,
     mat,
     mat_inv,
-    mat_mul,
     mat_norm,
 )
 
 
 def test_basis_products():
-    assert np.allclose(mat_mul(J, J), I2)
+    assert np.array_equal(J @ J, I2)
     assert np.allclose(mat_inv(J), J)
     assert eigvals2(DELTA_PLUS + DELTA_MINUS) == (1.0, -1.0)
 

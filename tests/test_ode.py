@@ -1,8 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
+from pviso import ode
 from pviso.errors import StepUnderflowError
 from pviso.ode import integrate_rk54
 
@@ -83,3 +85,27 @@ def test_repeated_runs_are_identical():
     assert len(calls1) == len(calls2) > 0
     assert calls1 == calls2
     assert np.array_equal(a, b)
+
+
+def test_tableau_order_conditions():
+    rows = [getattr(ode, f"A{i}") for i in range(2, 13)]
+    nodes = [getattr(ode, f"C{i}") for i in range(2, 13)]
+    for row, c in zip(rows, nodes):
+        assert abs(math.fsum(row) - c) <= 1e-14
+    # B and E5 weight stages 1 and 6..12, BHH stages 1, 9 and 12
+    c = [0.0, *nodes[4:]]
+    for k in range(1, 9):
+        moment = math.fsum(b * ci ** (k - 1) for b, ci in zip(ode.B, c))
+        assert abs(moment - 1.0 / k) <= 1e-14
+    e3 = list(ode.B)
+    for i, g in zip((0, 4, 7), ode.BHH):
+        e3[i] -= g
+    assert abs(math.fsum(ode.E5)) <= 1e-14
+    assert abs(math.fsum(e3)) <= 1e-14
+
+
+def test_feval_budget_on_rotation():
+    f, calls = _counted(_rotation)
+    out = integrate_rk54(f, 0.0, 10.0, [1.0], 1e-12)
+    assert abs(out[0] - cmath.exp(10j)) <= 1e-11
+    assert len(calls) <= 1000
