@@ -411,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise PvisoValueError(
+                    f"config must be a JSON object, not {type(cfg).__name__}"
+                )
         _postprocess_args(args)
         p = _params_from_config(cfg, args)
         opts = _options(cfg, args)

@@ -47,6 +47,15 @@ def _near_nonpositive_integer(z: complex, radius: float) -> bool:
     return n <= 0 and abs(z - n) < radius
 
 
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z), with z first reduced by the integer n nearest Re z
+    (z - n is exact there), so the result keeps its relative accuracy
+    near the integers where sin(pi z) vanishes."""
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
 def _lanczos_sum(z: complex) -> complex:
     # valid for Re z >= 0.5, argument shifted so the series sees z-1
     s = _LANCZOS_C[0]
@@ -62,7 +71,7 @@ def gamma(z: complex) -> complex:
         raise GammaPoleError(f"gamma pole at or extremely near {z}")
     if z.real < 0.5:
         # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (_sin_pi(z) * gamma(1.0 - z))
     t = z - 1.0 + _LANCZOS_G + 0.5
     return (
         math.sqrt(2.0 * math.pi)
@@ -78,7 +87,7 @@ def rgamma(z: complex) -> complex:
     if z.real < 0.5:
         if z.real == round(z.real) and z.imag == 0.0 and round(z.real) <= 0:
             return 0.0 + 0.0j
-        return cmath.sin(math.pi * z) * gamma(1.0 - z) / math.pi
+        return _sin_pi(z) * gamma(1.0 - z) / math.pi
     return 1.0 / gamma(z)
 
 
@@ -100,8 +109,8 @@ def digamma(z: complex) -> complex:
     if _near_nonpositive_integer(z, 1e-14):
         raise GammaPoleError(f"digamma pole at or extremely near {z}")
     if z.real < 0.5:
-        # psi(z) = psi(1 - z) - pi cot(pi z)
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
+        # psi(z) = psi(1 - z) - pi cot(pi z), cot reduced like _sin_pi
+        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * (z - round(z.real)))
     acc = 0.0 + 0.0j
     while abs(z) < 16.0:
         acc -= 1.0 / z

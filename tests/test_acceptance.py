@@ -78,8 +78,9 @@ def mdcf():
 def test_criterion_01_monodromy_cross_validation(mdcf):
     """Seed at 400i, flow to 40i (tol 1e-12), monodromy with R = 200 plus
     Richardson over 2R; every entry within 1e-6 of the closed form,
-    under 60 s single-threaded.  The error left is seed truncation: about
-    7e-9 with the degree-3 seed, 1.8e-6 with the printed-only L1 seed."""
+    under 60 s single-threaded.  With the degree-3 seed it reads about
+    5e-11, the error of the 40i state; the printed-only L1 seed gives
+    1.8e-6."""
     t0 = time.monotonic()
     state = refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
     md = monodromy(state, 1e-12, R=200.0)

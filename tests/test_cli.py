@@ -124,6 +124,11 @@ def test_config_parse_error_exit_code(tmp_path):
     assert main(["--config", str(bad), "verify"]) == 2
 
 
+def test_non_object_config_exit_code(tmp_path):
+    for cfg in ([], [ZERO_CFG], "x", 3):
+        assert main(["--config", _write(tmp_path, cfg), "braid"]) == 2
+
+
 def test_missing_parameters_exit_code(tmp_path):
     cfg = _write(tmp_path, {"parameters": {"theta0": 0.1}})
     assert main(["--config", cfg, "verify"]) == 2

@@ -8,6 +8,7 @@ from pviso.errors import OddStepsError, PathError, RadiusError
 from pviso.flow import FlowState, integrate, refine_from_series
 from pviso.linalg import I2, J, det2, exp_J, mat_inv, mat_norm, tr2
 from pviso.monodata import MonodromyData, braid_shift
+from pviso import monodromy as monodromy_module
 from pviso.monodromy import (
     Arc,
     Line,
@@ -18,7 +19,9 @@ from pviso.monodromy import (
     monodromy,
     normalized_frame,
     _linear_field,
+    _transfer,
 )
+from pviso.ode import integrate_rk54
 from pviso.series import Parameters
 
 P1 = Parameters(
@@ -78,10 +81,11 @@ def test_normalized_frame_residual_decays(state40):
 
 
 def test_linear_field_matches_matrix_formula(state40):
-    # the scalar field the transfers step, against (A0/lambda +
-    # Ax/(lambda - x) + J/2) @ Y times the piece velocity
+    # the scalar interaction-picture field the transfers step, against
+    # e^(-lambda J/2) (A0/lambda + Ax/(lambda - x)) e^(lambda J/2) @ Z
+    # times the piece velocity
     rng = np.random.default_rng(1)
-    Y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     half = math.pi / 2.0
     pieces = (
         Line(200j, 41j),
@@ -92,10 +96,55 @@ def test_linear_field_matches_matrix_formula(state40):
         f = _linear_field(state40, piece)
         for t in (0.0, 0.3 * piece.length, piece.length):
             lam, v = piece.locate(t)
-            C = state40.A0 / lam + state40.Ax / (lam - state40.x) + 0.5 * J
-            ref = ((C @ Y) * v).ravel()
-            got = np.array(f(t, Y.ravel().tolist()))
+            B = state40.A0 / lam + state40.Ax / (lam - state40.x)
+            C = exp_J(-lam / 2.0) @ B @ exp_J(lam / 2.0)
+            ref = ((C @ Z) * v).ravel()
+            got = np.array(f(t, Z.ravel().tolist()))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_interaction_picture_transfer_matches_plain_field(state40):
+    # reference: the plain field (A0/lambda + Ax/(lambda - x) + J/2) Y
+    # stepped by the same kernel at a tighter tolerance
+    def plain_transfer(piece, tol):
+        def f(t, y):
+            lam, v = piece.locate(t)
+            C = state40.A0 / lam + state40.Ax / (lam - state40.x) + 0.5 * J
+            return ((C @ np.reshape(y, (2, 2))) * v).ravel()
+
+        tol_local = tol * min(1.0, 10.0 / max(piece.length, 1.0))
+        return integrate_rk54(f, 0.0, piece.length, np.ravel(I2), tol_local).reshape(2, 2)
+
+    half = math.pi / 2.0
+    pieces = (
+        Line(200j, 41j),
+        Arc(40j, 1.0, half, half + 2.0 * math.pi),
+        Arc(0.0, 1.0, -half, 3.0 * half),
+    )
+    for piece in pieces:
+        got = _transfer(state40, [piece], 1e-12)
+        ref = plain_transfer(piece, 1e-14)
+        assert mat_norm(got - ref) <= 1e-11
+
+
+def test_monodromy_feval_budget(state40, monkeypatch):
+    # the 2R pass reuses the R pass's circles and lower descents, so only
+    # six pieces are integrated
+    calls = {"transfers": 0, "nfev": 0}
+
+    def counting(f, *args, **kwargs):
+        calls["transfers"] += 1
+
+        def g(*a):
+            calls["nfev"] += 1
+            return f(*a)
+
+        return integrate_rk54(g, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy_module, "integrate_rk54", counting)
+    monodromy(state40, 1e-12, R=200.0)
+    assert calls["transfers"] == 6
+    assert calls["nfev"] <= 25_000
 
 
 def test_continue_along_empty_path(state40):
@@ -174,10 +223,10 @@ def test_homotopy_invariance_of_pieces(state40):
     frame = nf(state40, R, orders=6, diag_correction=True)
     half = math.pi / 2.0
     a = _loop_transfer_conjugated(
-        state40, Line(1j * R, 40j + 1j), Arc(40j, 1.0, half, half + 2 * math.pi), frame, tol
+        state40, [Line(1j * R, 40j + 1j)], Arc(40j, 1.0, half, half + 2 * math.pi), frame, tol
     )
     b = _loop_transfer_conjugated(
-        state40, Line(1j * R, 40j + 1.4j), Arc(40j, 1.4, half, half + 2 * math.pi), frame, tol
+        state40, [Line(1j * R, 40j + 1.4j)], Arc(40j, 1.4, half, half + 2 * math.pi), frame, tol
     )
     assert mat_norm(a - b) <= 10.0 * tol * 100.0
 

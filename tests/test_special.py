@@ -69,3 +69,27 @@ def test_rgamma_entire():
     assert rgamma(-3.0) == 0.0
     for z in (0.7 + 0.1j, -2.5 + 1.0j, 5.0 - 4.0j):
         assert abs(rgamma(z) * gamma(z) - 1.0) < 1e-12
+
+
+def test_against_mpmath_oracle():
+    # independent reference over criterion 10's box (Re z in [-6, 7],
+    # Im z in [-8, 8]) and at distances 1e-3 .. 1e-10 from the poles
+    # 0, -1, ..., -6, where sin(pi z) in the reflection formula is small
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.RandomState(17)
+    points = [complex(rng.uniform(-6, 7), rng.uniform(-8, 8)) for _ in range(200)]
+    for n in range(7):
+        for d in (1e-3, 1e-6, 1e-10):
+            for u in (1.0, -1.0, 1j, -1j, cmath.exp(0.7j), cmath.exp(-2.3j)):
+                points.append(-n + d * u)
+    worst = {"gamma": 0.0, "rgamma": 0.0, "digamma": 0.0}
+    with mpmath.workdps(30):
+        for z in points:
+            for name, ours, ref in (
+                ("gamma", gamma, mpmath.gamma),
+                ("rgamma", rgamma, mpmath.rgamma),
+                ("digamma", digamma, mpmath.digamma),
+            ):
+                exact = complex(ref(mpmath.mpc(z)))
+                worst[name] = max(worst[name], abs(ours(z) - exact) / abs(exact))
+    assert max(worst.values()) <= 1e-12, worst
