@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedform, monodata, monodromy, tau, transcendents
 from .errors import PvisoNumericalError, PvisoValueError
-from .flow import integrate, refine_from_series
+from .flow import integrate, refine_at
 from .linalg import I2, det2, mat_norm, tr2
 from .series import Parameters
 from .special import digamma, gamma
@@ -91,22 +91,31 @@ def _params_to_wire(p: Parameters) -> dict:
     return {k: _c2w(getattr(p, k)) for k in _PARAM_KEYS}
 
 
+def _reject(v, what: str):
+    raise PvisoValueError(f"expected {what}, not {v!r}")
+
+
+def _positive(v) -> float:
+    f = float(v)
+    return f if math.isfinite(f) and f > 0.0 else _reject(v, "a finite number > 0")
+
+
 # option -> coercion of its value, given by flag or in the config's
 # "options"; every given option is coerced before a command runs, so a
 # malformed value is a config error
 _OPTIONS = {
     "x": _w2c,
-    "x_points": lambda v: [_w2c(z) for z in v],
-    "tol": float,
-    "seed_radius": float,
-    "radius": float,
+    "x_points": lambda v: [_w2c(z) for z in v] or _reject(v, "a non-empty list"),
+    "tol": _positive,
+    "seed_radius": _positive,
+    "radius": _positive,
     "m_from": int,
     "m_to": int,
-    "root_tol": float,
-    "refine": bool,
-    "h_values": lambda v: [float(h) for h in v],
+    "root_tol": _positive,
+    "refine": lambda v: v if isinstance(v, bool) else _reject(v, "true or false"),
+    "h_values": lambda v: [_positive(h) for h in v],
     "steps": int,
-    "monodromy_tol": float,
+    "monodromy_tol": _positive,
     "monodromy": lambda v: (_w2m(v["M0"]), _w2m(v["Mx"])),
 }
 
@@ -124,15 +133,10 @@ def _options(cfg: dict, args) -> dict:
 # commands
 
 
-def _refined_state(p: Parameters, x: complex, tol: float, seed_radius: float | None):
-    seed = seed_radius if seed_radius is not None else max(300.0, 3.0 * abs(x))
-    return refine_from_series(p, float(seed), x, tol)
-
-
-def _cmd_monodromy(p: Parameters, opts: dict) -> dict:
+def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
     x = opts.get("x", 40j)
     tol = opts.get("tol", 1e-12)
-    refined = _refined_state(p, x, tol, opts.get("seed_radius"))
+    refined = refine_at(p, x, tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
     md_num = monodromy.monodromy(refined.state, tol, R=opts.get("radius"))
     md_cf = closedform.closed_form_monodromy(p)
     diff = max(
@@ -149,13 +153,13 @@ def _cmd_monodromy(p: Parameters, opts: dict) -> dict:
         "diagnostics": {
             k: v for k, v in md_num.diagnostics.items() if isinstance(v, (int, float, bool))
         },
-    }
+    }, None
 
 
 def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
     xs = opts.get("x_points", [40j])
     tol = opts.get("tol", 1e-12)
-    refined = _refined_state(p, xs[0], tol, opts.get("seed_radius"))
+    refined = refine_at(p, xs[0], tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
     state = refined.state
     samples = []
     rows = []
@@ -192,8 +196,7 @@ def _flatten(m: np.ndarray) -> list[float]:
 def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
     xs = opts.get("x_points", [40j])
     tol = opts.get("tol", 1e-12)
-    refined = _refined_state(p, xs[0], tol, opts.get("seed_radius"))
-    state = refined.state
+    state = refine_at(p, xs[0], tol, seed_radius=opts.get("seed_radius")).state
     out = []
     rows = []
     for x in xs:
@@ -221,47 +224,29 @@ def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
 
 
 def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
-    m_from = opts.get("m_from", 10)
-    m_to = opts.get("m_to", 20)
-    tol = opts.get("tol", 1e-12)
-    root_tol = opts.get("root_tol", 1e-9)
-    do_refine = opts.get("refine", True)
-    lattice = transcendents.zero_pole_seeds(p, kind, m_from, m_to, warn=False)
-    entries = []
-    rows = []
-    anchor = None
-    if do_refine:
-        top = 1j * lattice.seeds[-1][1].imag
-        anchor = refine_from_series(
-            p, max(300.0, 2.0 * abs(top)), top, tol, diagnostics=False
-        ).state
-    for m, seed in reversed(lattice.seeds):
+    m_range = opts.get("m_from", 10), opts.get("m_to", 20)
+    refine = opts.get("refine", True)
+    if refine:
+        lattice = transcendents.refine_lattice(
+            p, kind, *m_range, root_tol=opts.get("root_tol", 1e-9), flow_tol=opts.get("tol", 1e-12)
+        )
+    else:
+        lattice = transcendents.zero_pole_seeds(p, kind, *m_range, warn=False)
+    entries, rows = [], []
+    for i, (m, seed) in enumerate(lattice.seeds):
         rec = {"m": m, "seed": _c2w(seed)}
         row = [m, seed.real, seed.imag]
-        if do_refine:
-            root = transcendents.refine_root(p, seed, kind, root_tol, state=anchor)
-            anchor = integrate(anchor, 1j * root.imag, tol)
-            st = integrate(anchor, root, tol)
-            yv = transcendents.yzu_from_matrices(st)
-            fval = abs(yv.y) if kind is transcendents.LatticeKind.ZERO else (
-                0.0 if yv.pole else 1.0 / abs(yv.y)
-            )
-            err = abs(root - seed)
-            rec.update(
-                {
-                    "refined": _c2w(root),
-                    "abs_error": err,
-                    "scaled_error": err * m / math.log(m),
-                    "residual": fval,
-                }
-            )
-            row += [root.real, root.imag, err, err * m / math.log(m), fval]
+        if refine:
+            st = lattice.roots[i]
+            err = abs(st.x - seed)
+            scaled = err * m / math.log(m)
+            fval = transcendents.root_residual(st, kind)
+            rec.update(refined=_c2w(st.x), abs_error=err, scaled_error=scaled, residual=fval)
+            row += [st.x.real, st.x.imag, err, scaled, fval]
         entries.append(rec)
         rows.append(row)
-    entries.sort(key=lambda r: r["m"])
-    rows.sort(key=lambda r: r[0])
     header = "m,re_seed,im_seed" + (
-        ",re_refined,im_refined,abs_error,scaled_error,residual" if do_refine else ""
+        ",re_refined,im_refined,abs_error,scaled_error,residual" if refine else ""
     )
     return {"kind": kind.value, "rho": _c2w(lattice.rho), "table": entries}, [header, rows]
 
@@ -270,7 +255,7 @@ def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:
     x = opts.get("x", 40j)
     tol = opts.get("tol", 1e-12)
     hs = opts.get("h_values", [4e-2, 2e-2, 1e-2])
-    state = _refined_state(p, x, tol, opts.get("seed_radius")).state
+    state = refine_at(p, x, tol, seed_radius=opts.get("seed_radius")).state
     sweeps = []
     rows = []
     for h in hs:
@@ -280,7 +265,7 @@ def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:
     return {"x": _c2w(x), "sweep": sweeps}, ["h,abs_residual", rows]
 
 
-def _cmd_braid(p: Parameters, opts: dict) -> dict:
+def _cmd_braid(p: Parameters, opts: dict) -> tuple[dict, None]:
     steps = opts.get("steps", 2)
     stored = opts.get("monodromy")
     if stored is None:
@@ -288,10 +273,10 @@ def _cmd_braid(p: Parameters, opts: dict) -> dict:
     else:
         md = monodata.MonodromyData.from_pair(*stored, p.thetainf)
     shifted = monodata.braid_shift(md, steps, p.thetainf)
-    return {"steps": steps, "input": _monodromy_to_wire(md), "shifted": _monodromy_to_wire(shifted)}
+    return {"steps": steps, "input": _monodromy_to_wire(md), "shifted": _monodromy_to_wire(shifted)}, None
 
 
-def _cmd_verify(p: Parameters, opts: dict) -> dict:
+def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
     tol = opts.get("tol", 1e-12)
     x = opts.get("x", 40j)
     checks = []
@@ -309,7 +294,7 @@ def _cmd_verify(p: Parameters, opts: dict) -> dict:
     check("digamma_value", abs(digamma(2.0) - (1.0 - 0.5772156649015329)), 1e-10)
 
     # series / flow consistency
-    refined = _refined_state(p, x, tol, opts.get("seed_radius"))
+    refined = refine_at(p, x, tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
     state = refined.state
     check("seed_doubling_diagnostic", refined.diagnostic, 1e-5)
     b_defect = abs(state.A0[0, 0] + state.Ax[0, 0] + p.thetainf / 2.0)
@@ -350,7 +335,19 @@ def _cmd_verify(p: Parameters, opts: dict) -> dict:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
         "monodromy": _monodromy_to_wire(md),
-    }
+    }, None
+
+
+_COMMANDS = {
+    "monodromy": _cmd_monodromy,
+    "flow": _cmd_flow,
+    "evaluate": _cmd_evaluate,
+    "zeros": lambda p, opts: _cmd_lattice(p, opts, transcendents.LatticeKind.ZERO),
+    "poles": lambda p, opts: _cmd_lattice(p, opts, transcendents.LatticeKind.POLE),
+    "tau": _cmd_tau,
+    "braid": _cmd_braid,
+    "verify": _cmd_verify,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("monodromy", x=str, tol=float, seed_radius=float, radius=float)
     add("flow", tol=float, seed_radius=float, x_points=str)
     add("evaluate", tol=float, seed_radius=float, x_points=str)
-    zp = add("zeros", m_from=int, m_to=int, tol=float, root_tol=float)
-    zp.add_argument("--no-refine", dest="refine", action="store_false")
-    pp = add("poles", m_from=int, m_to=int, tol=float, root_tol=float)
-    pp.add_argument("--no-refine", dest="refine", action="store_false")
+    for name in ("zeros", "poles"):
+        sp = add(name, m_from=int, m_to=int, tol=float, root_tol=float)
+        sp.add_argument("--no-refine", dest="refine", action="store_false")
     add("tau", x=str, tol=float, seed_radius=float, h_values=str)
     add("braid", steps=int)
     add("verify", x=str, tol=float, seed_radius=float, monodromy_tol=float)
@@ -422,26 +418,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    csv_payload = None
     try:
-        if args.command == "monodromy":
-            result = _cmd_monodromy(p, opts)
-        elif args.command == "flow":
-            result, csv_payload = _cmd_flow(p, opts)
-        elif args.command == "evaluate":
-            result, csv_payload = _cmd_evaluate(p, opts)
-        elif args.command == "zeros":
-            result, csv_payload = _cmd_lattice(p, opts, transcendents.LatticeKind.ZERO)
-        elif args.command == "poles":
-            result, csv_payload = _cmd_lattice(p, opts, transcendents.LatticeKind.POLE)
-        elif args.command == "tau":
-            result, csv_payload = _cmd_tau(p, opts)
-        elif args.command == "braid":
-            result = _cmd_braid(p, opts)
-        elif args.command == "verify":
-            result = _cmd_verify(p, opts)
-        else:  # pragma: no cover
-            raise PvisoValueError(f"unknown command {args.command}")
+        result, csv_payload = _COMMANDS[args.command](p, opts)
     except PvisoValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,7 +22,8 @@ from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
 from .series import Parameters, Truncation, domain_check, series_A_pair
 
-__all__ = ["FlowState", "RefineResult", "rhs", "integrate", "refine_from_series"]
+__all__ = ["FlowState", "RefineResult", "rhs", "integrate", "ray_stencil", "refine_from_series",
+           "refine_at"]
 
 _SEED_CHECK_TOL = 1e-12
 
@@ -109,13 +110,13 @@ def _segment_distance(a: complex, b: complex, point: complex = 0.0) -> float:
     return abs(a + t * d)
 
 
-def _transport_segment(x0, A0, Ax, x1, tol, max_step):
+def _transport_segment(x0, A0, Ax, x1, tol):
     length = abs(x1 - x0)
     y0 = [*A0.ravel().tolist(), *Ax.ravel().tolist()]
     # tighten with length so accumulated drift stays within the budget
     tol_local = tol * min(1.0, 10.0 / max(length, 1.0))
     f = _flow_field(x0, (x1 - x0) / length)
-    y1 = integrate_rk54(f, 0.0, length, y0, tol_local, max_step=max_step)
+    y1 = integrate_rk54(f, 0.0, length, y0, tol_local)
     return y1[:4].reshape(2, 2), y1[4:].reshape(2, 2)
 
 
@@ -124,9 +125,7 @@ def integrate(
     x_target: complex,
     tol: float = 1e-12,
     *,
-    max_step: float = 0.5,
     waypoints: Sequence[complex] = (),
-    check_drift: bool = True,
 ) -> FlowState:
     """Transport the state to ``x_target`` along straight segments.
 
@@ -146,21 +145,31 @@ def integrate(
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
-        A0, Ax = _transport_segment(a, A0, Ax, b, tol, max_step)
+        A0, Ax = _transport_segment(a, A0, Ax, b, tol)
     out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params, validate=False)
-    if check_drift:
-        before = s.invariants()
-        after = out.invariants()
-        scale = 1.0 + mat_norm(s.A0) + mat_norm(s.Ax)
-        budget = 100.0 * tol * scale
-        for key in before:
-            drift = abs(after[key] - before[key])
-            if drift > budget:
-                raise InvariantDriftError(
-                    f"conserved quantity {key} drifted by {drift:.3e} "
-                    f"(> {budget:.3e}) over [{s.x} -> {x_target}]"
-                )
+    before = s.invariants()
+    after = out.invariants()
+    budget = 100.0 * tol * (1.0 + mat_norm(s.A0) + mat_norm(s.Ax))
+    for key in before:
+        drift = abs(after[key] - before[key])
+        if drift > budget:
+            raise InvariantDriftError(
+                f"conserved quantity {key} drifted by {drift:.3e} "
+                f"(> {budget:.3e}) over [{s.x} -> {x_target}]"
+            )
     return out
+
+
+def ray_stencil(s: FlowState, x: complex, h: float, half_width: int, tol: float):
+    """States at x + k h x/|x| for |k| <= half_width, each transported
+    from the one before (the first from ``s``), and the step h x/|x|."""
+    unit = x / abs(x)
+    states = []
+    for k in range(-half_width, half_width + 1):
+        target = x + k * h * unit
+        s = integrate(s, target, tol) if s.x != target else s
+        states.append(s)
+    return states, h * unit
 
 
 def _project_eigenvalue_constraints(A: np.ndarray, theta: complex) -> np.ndarray:
@@ -228,8 +237,7 @@ def refine_from_series(
         st = FlowState(x=ab.x, A0=A0, Ax=Ax, params=p, validate=False)
         if st.x == x_target:
             return st
-        pts = [w for w in waypoints]
-        return integrate(st, x_target, tol, waypoints=pts)
+        return integrate(st, x_target, tol, waypoints=waypoints)
 
     state = run(float(seed_radius))
     diag = math.nan
@@ -239,3 +247,10 @@ def refine_from_series(
             mat_norm(state.A0 - other.A0), mat_norm(state.Ax - other.Ax)
         )
     return RefineResult(state=state, diagnostic=diag)
+
+
+def refine_at(p: Parameters, x: complex, tol=1e-12, *, seed_radius=None, diagnostics=False):
+    """``refine_from_series`` to x, seeded at ``seed_radius`` or by
+    default at max(300, 3|x|)."""
+    radius = seed_radius or max(300.0, 3.0 * abs(x))
+    return refine_from_series(p, radius, x, tol, diagnostics=diagnostics)

@@ -365,6 +365,11 @@ def _piece_transfer(s: FlowState, piece: Piece, tol: float) -> np.ndarray:
     return mat(rot * z00, mid * z01, z10 / mid, z11 / rot)
 
 
+# past this norm the determinant check's bound 100*tol*|W|^2 means
+# nothing; the pieces monodromy() integrates stay below 1.5
+_MAX_TRANSFER_NORM = 1e3
+
+
 def _transfer(
     s: FlowState,
     pieces: Sequence[Piece],
@@ -375,8 +380,8 @@ def _transfer(
     per-piece transfers.  A piece found in ``cache`` is not integrated
     again; the caller owns the cache and keeps it to one state and tol.
 
-    The determinant drift of the product must stay within 100*tol.
-    """
+    The determinant drift must stay within 100*tol*max(1, |W|^2), and a
+    partial product with |W| > _MAX_TRANSFER_NORM is rejected at once."""
     if cache is None:
         cache = {}
     W = np.array(I2, dtype=complex)
@@ -384,6 +389,8 @@ def _transfer(
         if piece not in cache:
             cache[piece] = _piece_transfer(s, piece, tol)
         W = cache[piece] @ W
+        if mat_norm(W) > _MAX_TRANSFER_NORM:
+            raise ConsistencyError(f"transfer norm {mat_norm(W):.3e} after {piece}")
     drift = abs(det2(W) - 1.0)
     if drift > 100.0 * tol * max(1.0, mat_norm(W) ** 2):
         raise ConsistencyError(f"transfer determinant drifted by {drift:.3e}")
@@ -397,16 +404,14 @@ def continue_along(
     path's base point, by direct ODE transport along the loop pieces.
 
     The path must stay at distance >= 0.5 from both finite singular
-    points.  Deep excursions into Re lambda << 0 or >> 0 lose the
-    recessive solution direction and are rejected by the determinant
-    check rather than silently returning garbage.
+    points.  Deep excursions into Re lambda << 0 or >> 0, such as the arc
+    of ``loop_around_origin``, grow the transfer past 1e3 and are
+    rejected with ConsistencyError rather than silently returning garbage.
     """
     for piece in path.segments:
         for pt in (0.0 + 0.0j, s.x):
             if _min_distance(piece, pt) < 0.5:
                 raise PathError(f"path passes within 0.5 of singular point {pt}")
-    if not path.segments:
-        return np.array(Y0, dtype=complex)
     return _transfer(s, path.segments, tol) @ np.array(Y0, dtype=complex)
 
 

@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, PvisoValueError
-from .flow import FlowState, integrate, refine_from_series
+from .flow import FlowState, ray_stencil, refine_at
 from .series import Parameters, domain_check, gamma_quad
 
 __all__ = ["TauSample", "dlog_tau", "dlog_tau_series", "tau_sample", "bilinear_residual"]
@@ -79,17 +79,6 @@ def dlog_tau_series(p: Parameters, x: complex, *, check_domain: bool = True, eps
     )
 
 
-def _h_stencil(state: FlowState, x: complex, h: float, tol: float):
-    unit = x / abs(x)
-    hs = []
-    anchor = state
-    for k in range(-2, 3):
-        target = x + k * h * unit
-        anchor = integrate(anchor, target, tol) if anchor.x != target else anchor
-        hs.append(dlog_tau(anchor))
-    return hs, unit
-
-
 def tau_sample(
     p: Parameters,
     x: complex,
@@ -102,10 +91,9 @@ def tau_sample(
     of the second through fourth log-derivatives."""
     x = complex(x)
     if state is None:
-        state = refine_from_series(p, max(300.0, 3.0 * abs(x)), x, tol, diagnostics=False).state
-    hs, unit = _h_stencil(state, x, h, tol)
-    hm2, hm1, h0, hp1, hp2 = hs
-    step = h * unit
+        state = refine_at(p, x, tol).state
+    states, step = ray_stencil(state, x, h, 2, tol)
+    hm2, hm1, h0, hp1, hp2 = map(dlog_tau, states)
     d1 = (hp1 - hm1) / (2.0 * step)
     d2 = (hp1 - 2.0 * h0 + hm1) / (step * step)
     d3 = (hp2 - 2.0 * hp1 + 2.0 * hm1 - hm2) / (2.0 * step**3)
@@ -131,20 +119,15 @@ def bilinear_residual(
         + 2 x r2 + (thetainf x - theta0^2 - thetax^2) r1
         - thetax^2 thetainf / 2.
 
-    H-derivatives come from second-order centered differences on a
-    5-point stencil along the ray.
+    H and its derivatives come from ``tau_sample``: second-order
+    centered differences on a 5-point stencil along the ray.
     """
     x = complex(x)
     if state is None:
-        seed = seed_radius or max(300.0, 3.0 * abs(x))
-        state = refine_from_series(p, seed, x, tol, diagnostics=False).state
-    hs, unit = _h_stencil(state, x, h, tol)
-    hm2, hm1, h0, hp1, hp2 = hs
-    step = h * unit
-    d1 = (hp1 - hm1) / (2.0 * step)
-    d2 = (hp1 - 2.0 * h0 + hm1) / (step * step)
-    d3 = (hp2 - 2.0 * hp1 + 2.0 * hm1 - hm2) / (2.0 * step**3)
-    r1 = h0
+        state = refine_at(p, x, tol, seed_radius=seed_radius).state
+    sample = tau_sample(p, x, h, state=state, tol=tol)
+    r1 = h0 = sample.dlogtau
+    d1, d2, d3 = sample.higher_derivs
     r2 = d1 + h0 * h0
     r3 = d2 + 3.0 * h0 * d1 + h0**3
     r4 = d3 + 4.0 * h0 * d2 + 3.0 * d1 * d1 + 6.0 * h0 * h0 * d1 + h0**4

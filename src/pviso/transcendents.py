@@ -26,7 +26,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, integrate, refine_from_series
+from .flow import FlowState, integrate, ray_stencil, refine_at, refine_from_series, rhs
 from .series import Parameters, domain_check, smallness_score
 
 __all__ = [
@@ -39,7 +39,9 @@ __all__ = [
     "y_degenerate_series",
     "pv_residual",
     "zero_pole_seeds",
+    "root_residual",
     "refine_root",
+    "refine_lattice",
     "backlund_pi",
 ]
 
@@ -72,6 +74,7 @@ class SeedLattice:
     kind: LatticeKind
     rho: complex
     seeds: list[tuple[int, complex]]
+    roots: list[FlowState] | None = None  # refined states, set by refine_lattice
 
 
 def yzu_from_matrices(s: FlowState) -> PVPoint:
@@ -126,22 +129,6 @@ def y_degenerate_series(p: Parameters, x: complex, branch: DegenerateBranch) -> 
     return 1.0 / recip
 
 
-def _y_on_stencil(state: FlowState, x: complex, h: float, half_width: int, tol: float):
-    """y at x + k*h*unit for k in [-half_width, half_width], via short
-    flow hops from the given nearby state."""
-    unit = x / abs(x)
-    ys = []
-    anchor = state
-    for k in range(-half_width, half_width + 1):
-        target = x + k * h * unit
-        anchor = integrate(anchor, target, tol) if anchor.x != target else anchor
-        pt = yzu_from_matrices(anchor)
-        if pt.pole or not (abs(pt.y) < 1e12):
-            raise StencilError(f"stencil point {target} is at or near a pole of y")
-        ys.append(pt.y)
-    return ys, unit
-
-
 def pv_residual(
     p: Parameters,
     x: complex,
@@ -158,11 +145,11 @@ def pv_residual(
     """
     x = complex(x)
     if state is None:
-        seed = seed_radius or max(300.0, 3.0 * abs(x))
-        state = refine_from_series(p, seed, x, tol, diagnostics=False).state
-    ys, unit = _y_on_stencil(state, x, h, 1, tol)
-    ym1, y0, yp1 = ys
-    step = h * unit
+        state = refine_at(p, x, tol, seed_radius=seed_radius).state
+    states, step = ray_stencil(state, x, h, 1, tol)
+    ym1, y0, yp1 = ys = [yzu_from_matrices(st).y for st in states]
+    if not all(abs(y) < 1e12 for y in ys):  # a flagged pole reads inf
+        raise StencilError(f"the stencil about {x} is at or near a pole of y")
     # second-order stencils: the documented tolerance model is h^2 * y''''
     d1 = (yp1 - ym1) / (2.0 * step)
     d2 = (yp1 - 2.0 * y0 + ym1) / (step * step)
@@ -234,57 +221,85 @@ def zero_pole_seeds(
     return SeedLattice(kind=kind, rho=rho, seeds=seeds)
 
 
+def _newton(s: FlowState, kind: LatticeKind) -> tuple[complex, complex]:
+    """F and the Newton step -F/F' at the state, for F = N/D with
+    N = (Ax)_12 (A0_11 + theta0/2), D = A0_12 ((Ax)_11 + thetax/2) when
+    seeking zeros of y, and N, D swapped (F = 1/y) for poles.  N' and D'
+    come from the flow's vector field, so -F/F' = -N D / (N' D - N D')
+    is exact; a vanishing D or F' gives an infinite F or step."""
+    a0, ax = s.A0, s.Ax
+    da0, dax = rhs(s)
+    p0 = a0[0, 0] + s.params.theta0 / 2.0
+    px = ax[0, 0] + s.params.thetax / 2.0
+    n, d = ax[0, 1] * p0, a0[0, 1] * px
+    dn = dax[0, 1] * p0 + ax[0, 1] * da0[0, 0]
+    dd = da0[0, 1] * px + a0[0, 1] * dax[0, 0]
+    if kind is LatticeKind.POLE:
+        n, d, dn, dd = d, n, dd, dn
+    slope = dn * d - n * dd
+    return (n / d if d != 0 else math.inf), (-n * d / slope if slope != 0 else math.inf)
+
+
+def root_residual(s: FlowState, kind: LatticeKind) -> float:
+    """|y| (kind ZERO) or |1/y| (kind POLE) at the state."""
+    return abs(_newton(s, kind)[0])
+
+
 def refine_root(
     p: Parameters,
     seed: complex,
     kind: LatticeKind,
     tol: float = 1e-9,
     *,
-    state: FlowState | None = None,
+    state: FlowState,
     flow_tol: float = 1e-12,
     max_iter: int = 30,
-    fd_step: float = 1e-5,
-) -> complex:
+) -> FlowState:
     """Newton refinement of a zero of y (kind ZERO) or of 1/y (kind POLE)
-    starting from ``seed``; the derivative comes from centered finite
-    differences with flow transport at every evaluation.
+    starting from ``seed``.
 
-    Returns x with |y| <= tol (resp. |1/y| <= tol).
+    ``state`` is transported straight to the seed, then once per Newton
+    step.  The step comes from ``_newton``: exact, from the flow's vector
+    field, at no extra transport.
+
+    Returns the state at the root, whose ``.x`` has |y| <= tol (resp.
+    |1/y| <= tol).
     """
-    seed = complex(seed)
-    if state is None:
-        radius = max(300.0, 2.0 * abs(seed))
-        axis_pt = 1j * seed.imag
-        state = refine_from_series(
-            p, radius, axis_pt, flow_tol, diagnostics=False
-        ).state
-    anchor = integrate(state, 1j * seed.imag, flow_tol) if state.x != 1j * seed.imag else state
-    anchor = integrate(anchor, seed, flow_tol)
-
-    def F(st: FlowState) -> complex:
-        pt = yzu_from_matrices(st)
-        if kind is LatticeKind.ZERO:
-            return pt.y
-        return 0.0 if pt.pole else 1.0 / pt.y
-
-    x = seed
+    state = integrate(state, complex(seed), flow_tol)
     for _ in range(max_iter):
-        f0 = F(anchor)
-        if abs(f0) <= tol:
-            return x
-        st_p = integrate(anchor, x + fd_step, flow_tol)
-        st_m = integrate(anchor, x - fd_step, flow_tol)
-        d = (F(st_p) - F(st_m)) / (2.0 * fd_step)
-        if d == 0:
-            raise ConvergenceError("vanishing derivative in Newton step")
-        step = -f0 / d
+        f, step = _newton(state, kind)
+        if abs(f) <= tol:
+            return state
         if abs(step) > 2.0:
-            raise ConvergenceError(
-                f"Newton step {abs(step):.2f} leaves the basin of seed {seed}"
-            )
-        x = x + step
-        anchor = integrate(anchor, x, flow_tol)
+            raise ConvergenceError(f"Newton step {abs(step):.2f} leaves the basin of seed {seed}")
+        state = integrate(state, state.x + step, flow_tol)
     raise ConvergenceError(f"no convergence after {max_iter} Newton iterations")
+
+
+def refine_lattice(
+    p: Parameters,
+    kind: LatticeKind,
+    m_from: int,
+    m_to: int,
+    *,
+    root_tol: float = 1e-9,
+    flow_tol: float = 1e-12,
+) -> SeedLattice:
+    """The seeds of ``zero_pole_seeds`` for m_from..m_to refined by
+    ``refine_root`` from the top down: the series is seeded once on the
+    axis at the top seed, and every root starts from the state at the
+    root above.  The returned lattice's ``roots`` holds the state at
+    each root, in seed order."""
+    lattice = zero_pole_seeds(p, kind, m_from, m_to, warn=False)
+    top = 1j * lattice.seeds[-1][1].imag
+    radius = max(300.0, 2.0 * abs(top))
+    state = refine_from_series(p, radius, top, flow_tol, diagnostics=False).state
+    roots = []
+    for _, seed in reversed(lattice.seeds):
+        state = refine_root(p, seed, kind, root_tol, state=state, flow_tol=flow_tol)
+        roots.append(state)
+    lattice.roots = roots[::-1]
+    return lattice
 
 
 def backlund_pi(

@@ -16,7 +16,6 @@ stated tolerances.
 import cmath
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +31,8 @@ from pviso.tau import bilinear_residual, dlog_tau, dlog_tau_series
 from pviso.transcendents import (
     LatticeKind,
     pv_residual,
-    refine_root,
+    refine_lattice,
     yzu_from_matrices,
-    zero_pole_seeds,
 )
 
 P1 = Parameters(
@@ -269,16 +267,16 @@ def test_criterion_07_series_coefficients_of_y():
 
 
 def _lattice_run(p, kind, m_from, m_to, residual_tol):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lattice = zero_pole_seeds(p, kind, m_from, m_to)
+    lattice = refine_lattice(p, kind, m_from, m_to, root_tol=1e-9, flow_tol=1e-12)
+    # re-check every root with a transport of our own: from a series seed
+    # on the axis, along the axis and out to the root
     top = 1j * lattice.seeds[-1][1].imag
     anchor = refine_from_series(
         p, max(300.0, 2.0 * abs(top)), top, 1e-12, diagnostics=False
     ).state
     scaled = []
-    for m, seed in reversed(lattice.seeds):
-        root = refine_root(p, seed, kind, tol=1e-9, state=anchor)
+    for (m, seed), root_state in reversed(list(zip(lattice.seeds, lattice.roots))):
+        root = root_state.x
         anchor = integrate(anchor, 1j * root.imag, 1e-12)
         st = integrate(anchor, root, 1e-12)
         pt = yzu_from_matrices(st)

@@ -1,6 +1,7 @@
 import json
 import math
 
+from pviso import flow
 from pviso.cli import main
 
 ZERO_CFG = {
@@ -22,6 +23,19 @@ P1_CFG = {
         "c0": 1.0,
         "cx": [0.7, 0.2],
         "sigma": [0.24, 0.05],
+    }
+}
+
+
+# criterion 8's zero-lattice parameter set
+P8Z_CFG = {
+    "parameters": {
+        "theta0": 0.45,
+        "thetax": 0.05,
+        "thetainf": 0.1,
+        "c0": 1.0,
+        "cx": 0.05,
+        "sigma": 0.1,
     }
 }
 
@@ -98,6 +112,7 @@ def test_braid_roundtrip(tmp_path):
 
 def test_evaluate_and_determinism(tmp_path):
     cfg = _write(tmp_path, P1_CFG)
+    zeros = ["--config", _write(tmp_path, P8Z_CFG, "p8z.json"), "zeros", "--m-to", "12"]
     args = [
         "--config",
         cfg,
@@ -109,9 +124,10 @@ def test_evaluate_and_determinism(tmp_path):
     ]
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for run in (zeros, args):
+        assert main(run + ["--out", str(out1)]) == 0
+        assert main(run + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     pt = doc["result"]["points"][0]
     assert pt["x"] == [0.0, 40.0]
@@ -159,3 +175,58 @@ def test_malformed_option_exit_code(tmp_path):
 
 def test_nan_parameter_exit_code():
     assert main([*P1_FLAGS, "--c0", "nan", "braid"]) == 2
+
+
+def test_empty_x_points_exit_code(tmp_path):
+    cfg = _write(tmp_path, dict(P1_CFG, options={"x_points": []}))
+    assert main(["--config", cfg, "flow"]) == 2
+    assert main(["--config", cfg, "evaluate"]) == 2
+
+
+def test_zero_tol_exit_code():
+    assert main([*P1_FLAGS, "--c0", "1", "monodromy", "--tol", "0"]) == 2
+
+
+def test_negative_tol_exit_code():
+    assert main([*P1_FLAGS, "--c0", "1", "flow", "--tol", "-1"]) == 2
+
+
+def test_non_boolean_refine_exit_code(tmp_path):
+    cfg = _write(tmp_path, dict(P1_CFG, options={"refine": "false"}))
+    assert main(["--config", cfg, "zeros", "--m-from", "10", "--m-to", "10"]) == 2
+
+
+def test_non_positive_options_exit_code(tmp_path):
+    # every tolerance, radius and step must be finite and > 0
+    for opts, command in (
+        ({"seed_radius": 0}, "flow"),
+        ({"radius": -5}, "monodromy"),
+        ({"root_tol": 0}, "zeros"),
+        ({"monodromy_tol": math.nan}, "verify"),
+        ({"tol": math.inf}, "flow"),
+        ({"h_values": [0.01, -1]}, "tau"),
+    ):
+        cfg = _write(tmp_path, dict(P1_CFG, options=opts))
+        assert main(["--config", cfg, command]) == 2, opts
+
+
+def test_zeros_feval_budget(tmp_path, monkeypatch):
+    # criterion 8's zero lattice: one series seed, then one transport per
+    # root with Newton derivatives from the vector field (60,028 field
+    # calls with two walks per root and finite-difference hops)
+    calls = {"nfev": 0}
+    transport = flow.integrate_rk54
+
+    def counting(f, *args, **kwargs):
+        def g(*a):
+            calls["nfev"] += 1
+            return f(*a)
+
+        return transport(g, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate_rk54", counting)
+    cfg = _write(tmp_path, P8Z_CFG)
+    rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "10", "--m-to", "40"])
+    assert rc == 0
+    assert all(row["residual"] <= 1e-9 for row in doc["result"]["table"])
+    assert calls["nfev"] <= 45_000

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import OddStepsError, PathError, RadiusError
+from pviso.errors import ConsistencyError, OddStepsError, PathError, RadiusError
 from pviso.flow import FlowState, integrate, refine_from_series
 from pviso.linalg import I2, J, det2, exp_J, mat_inv, mat_norm, tr2
 from pviso.monodata import MonodromyData, braid_shift
@@ -166,6 +166,14 @@ def test_continue_along_det_preserved(state40):
     y0 = normalized_frame(state40, 200.0)
     out = continue_along(state40, y0, loop, 1e-12)
     assert abs(det2(out) - det2(y0)) <= 1e-10 * max(1.0, abs(det2(y0)))
+
+
+def test_continue_along_rejects_deep_arc(state40):
+    # the arc of loop_around_origin reaches Re lambda = -200, where the
+    # transfer grows to ~1e71 and the determinant check could pass anything
+    y0 = normalized_frame(state40, 200.0)
+    with pytest.raises(ConsistencyError):
+        continue_along(state40, y0, loop_around_origin(40j, 200.0), 1e-12)
 
 
 def test_continue_along_rejects_close_path(state40):

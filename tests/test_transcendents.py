@@ -10,9 +10,11 @@ from pviso.flow import FlowState, integrate, refine_from_series
 from pviso.series import Parameters
 from pviso.transcendents import (
     DegenerateBranch,
+    _newton,
     LatticeKind,
     backlund_pi,
     pv_residual,
+    refine_lattice,
     refine_root,
     y_degenerate_series,
     y_series,
@@ -25,6 +27,7 @@ P1 = Parameters(
 )
 
 PZ = Parameters(theta0=0.45, thetax=0.05, thetainf=0.1, c0=1.0, cx=0.05, sigma=0.1)
+P8P = Parameters(theta0=0.05, thetax=0.45, thetainf=0.1, c0=1.0, cx=25.0, sigma=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -218,14 +221,37 @@ def zero_lattice_state():
 
 def test_refine_root_zeros(zero_lattice_state):
     lat, state = zero_lattice_state
+    refined = refine_lattice(PZ, LatticeKind.ZERO, 10, 13, root_tol=1e-9)
+    assert refined.seeds == lat.seeds
+    # re-check every root with a transport of our own from the fixture
     anchor = state
-    for m, seed in reversed(lat.seeds):
-        root = refine_root(PZ, seed, LatticeKind.ZERO, tol=1e-9, state=anchor)
+    for (m, seed), root_state in reversed(list(zip(refined.seeds, refined.roots))):
+        root = root_state.x
         anchor = integrate(anchor, 1j * root.imag, 1e-12)
         st = integrate(anchor, root, 1e-12)
         assert abs(yzu_from_matrices(st).y) <= 1e-9
         e = abs(root - seed)
         assert e * m / math.log(m) < 1.0
+
+
+@pytest.mark.parametrize("p, kind", [(PZ, LatticeKind.ZERO), (P8P, LatticeKind.POLE)])
+def test_newton_derivative_matches_centred_difference(p, kind):
+    # Newton's F' from the vector field against a centred difference of
+    # F = y (zeros) or 1/y (poles) transported to x -+ h, at a lattice seed
+    _, seed = zero_pole_seeds(p, kind, 10, 10, warn=False).seeds[0]
+    state = refine_from_series(p, 300.0, 1j * seed.imag, 1e-12, diagnostics=False).state
+    state = integrate(state, seed, 1e-12)
+
+    def F(x):
+        y = yzu_from_matrices(integrate(state, x, 1e-12)).y
+        return y if kind is LatticeKind.ZERO else 1.0 / y
+
+    h = 1e-4
+    centred = (F(seed + h) - F(seed - h)) / (2.0 * h)
+    f, step = _newton(state, kind)
+    exact = -f / step
+    assert abs(f - F(seed)) <= 1e-14 * abs(f)
+    assert abs(exact - centred) <= 1e-6 * abs(exact)
 
 
 def test_refine_root_negative_control(zero_lattice_state):
@@ -235,7 +261,7 @@ def test_refine_root_negative_control(zero_lattice_state):
     m, seed = lat.seeds[1]
     shifted = seed + 1j * math.pi
     try:
-        root = refine_root(PZ, shifted, LatticeKind.ZERO, tol=1e-9, state=state)
+        root = refine_root(PZ, shifted, LatticeKind.ZERO, tol=1e-9, state=state).x
     except ConvergenceError:
         return
     dists = [abs(root - s) for _, s in lat.seeds]
