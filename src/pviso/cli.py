@@ -231,7 +231,7 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
             p, kind, *m_range, root_tol=opts.get("root_tol", 1e-9), flow_tol=opts.get("tol", 1e-12)
         )
     else:
-        lattice = transcendents.zero_pole_seeds(p, kind, *m_range, warn=False)
+        lattice = transcendents.zero_pole_seeds(p, kind, *m_range)
     entries, rows = [], []
     for i, (m, seed) in enumerate(lattice.seeds):
         rec = {"m": m, "seed": _c2w(seed)}
@@ -248,7 +248,13 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
     header = "m,re_seed,im_seed" + (
         ",re_refined,im_refined,abs_error,scaled_error,residual" if refine else ""
     )
-    return {"kind": kind.value, "rho": _c2w(lattice.rho), "table": entries}, [header, rows]
+    smallness = {
+        "score": lattice.score,
+        "strip_level": lattice.strip_level,
+        "pass": lattice.smallness_pass,
+    }
+    result = {"kind": kind.value, "rho": _c2w(lattice.rho), "smallness": smallness, "table": entries}
+    return result, [header, rows]
 
 
 def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:

@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantDriftError, OriginError, PathError, PvisoValueError
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
-from .series import Parameters, Truncation, domain_check, series_A_pair
+from .series import Parameters, domain_check, series_A_pair
 
 __all__ = ["FlowState", "RefineResult", "rhs", "integrate", "ray_stencil", "refine_from_series",
            "refine_at"]
 
 _SEED_CHECK_TOL = 1e-12
+# admissible-strip margin of the series seed
+_SEED_EPS = 0.1
 
 
 @dataclass
@@ -120,32 +122,17 @@ def _transport_segment(x0, A0, Ax, x1, tol):
     return y1[:4].reshape(2, 2), y1[4:].reshape(2, 2)
 
 
-def integrate(
-    s: FlowState,
-    x_target: complex,
-    tol: float = 1e-12,
-    *,
-    waypoints: Sequence[complex] = (),
-) -> FlowState:
-    """Transport the state to ``x_target`` along straight segments.
-
-    The default path is the single segment from s.x to x_target; a
-    polyline detour can be supplied through ``waypoints``.  Every
-    segment must keep |x| > 1.  Conserved quantities are checked at the
-    end; drift beyond 100*tol (relative to scale) raises.
+def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
+    """Transport the state to ``x_target`` along the straight segment
+    from s.x, which must keep |x| > 1.  Conserved quantities are checked
+    at the end; drift beyond 100*tol (relative to scale) raises.
     """
     x_target = complex(x_target)
-    points = [s.x, *map(complex, waypoints), x_target]
-    for a, b in zip(points, points[1:]):
-        if a == b:
-            continue
-        if _segment_distance(a, b) < 1.0:
-            raise PathError(f"segment [{a}, {b}] enters the unit disk about 0")
     A0, Ax = s.A0.copy(), s.Ax.copy()
-    for a, b in zip(points, points[1:]):
-        if a == b:
-            continue
-        A0, Ax = _transport_segment(a, A0, Ax, b, tol)
+    if s.x != x_target:
+        if _segment_distance(s.x, x_target) < 1.0:
+            raise PathError(f"segment [{s.x}, {x_target}] enters the unit disk about 0")
+        A0, Ax = _transport_segment(s.x, A0, Ax, x_target, tol)
     out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params, validate=False)
     before = s.invariants()
     after = out.invariants()
@@ -204,32 +191,29 @@ def refine_from_series(
     x_target: complex,
     tol: float = 1e-12,
     *,
-    order: Truncation = Truncation.L2,
-    eps: float = 0.1,
     diagnostics: bool = True,
-    waypoints: Sequence[complex] = (),
     project: bool = True,
 ) -> RefineResult:
     """Seed the pair from the series at x = i*seed_radius and transport
     to ``x_target``.
 
-    ``order`` is the series truncation of the seed; the default L2
-    evaluates every coefficient up to total degree 3.  With ``project``
-    the seed is nudged onto the exact determinant constraints
-    det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
+    The seed is the L2 series truncation, every coefficient up to total
+    degree 3.  With ``project`` the seed is nudged onto the exact
+    determinant constraints det A0 = -theta0^2/4, det Ax = -thetax^2/4
+    before the transport.
     The returned diagnostic is the max entry difference against the same
     transport seeded at twice the radius; it estimates the seed
     truncation error surviving at the target.
     """
     x_target = complex(x_target)
     x_seed = 1j * float(seed_radius)
-    if not domain_check(p, x_seed, eps):
-        raise PathError(f"seed point {x_seed} fails the domain check (eps = {eps})")
+    if not domain_check(p, x_seed, _SEED_EPS):
+        raise PathError(f"seed point {x_seed} fails the domain check (eps = {_SEED_EPS})")
     if abs(x_target) < 20.0:
         raise PathError("refinement target should satisfy |x| >= 20")
 
     def run(radius: float) -> FlowState:
-        ab = series_A_pair(p, 1j * radius, order, eps=eps)
+        ab = series_A_pair(p, 1j * radius, eps=_SEED_EPS)
         A0, Ax = ab.A0, ab.Ax
         if project:
             A0 = _project_eigenvalue_constraints(A0, p.theta0)
@@ -237,7 +221,7 @@ def refine_from_series(
         st = FlowState(x=ab.x, A0=A0, Ax=Ax, params=p, validate=False)
         if st.x == x_target:
             return st
-        return integrate(st, x_target, tol, waypoints=waypoints)
+        return integrate(st, x_target, tol)
 
     state = run(float(seed_radius))
     diag = math.nan

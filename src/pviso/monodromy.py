@@ -6,27 +6,27 @@ computed with respect to the solution normalized as
 Y = (I + O(1/lambda)) e^(lambda/2 J) lambda^(-thetainf/2 J) on the branch
 arg lambda in (-pi/2, 3pi/2).
 
-Loops (base point i*R, R >= 4(|x|+10)):
-  around 0:  left semicircular arc of radius R down to -iR, the segment
-             of the negative imaginary axis to -i, the positively
-             oriented unit circle about 0, and back by the same route;
-  around x:  vertical descent from iR to x + i, the positively oriented
-             unit circle about x, and back.
+Both loops have one shape, a ``Loop``: down a descent along the imaginary
+axis, once around a unit circle (positively) and back up the same way
+(R >= 4(|x|+10)):
+  around x:  base point iR, descent to x + i, unit circle about x;
+  around 0:  base point -iR on the continued branch (arg = 3pi/2),
+             descent to -i, unit circle about 0.
 
 The ODE transport runs only on the pieces that hug the imaginary axis
 or the unit circles, where the two exponential modes e^(+-lambda/2) have
-equal modulus and the transfer matrices stay well conditioned.  The deep
-arc (Re lambda down to -R) is never stepped through: there the dominant
-mode would amplify local errors by e^R.  Instead the continued germ at
--iR is expressed through the truncated asymptotic frame on the continued
-branch (arg = 3pi/2), where the frame represents the second canonical
-solution so that the value of the continued Y is frame * S2^-1 with
-S2 = I + s2 Delta+ the (a priori unknown) Stokes factor.  The unknown
-drops out algebraically: with
+equal modulus and the transfer matrices stay well conditioned.  The loop
+about 0 is not reached from iR by the left arc of radius R: along that
+arc (Re lambda down to -R) the dominant mode would amplify local errors
+by e^R.  Instead the continued germ at -iR is expressed through the
+truncated asymptotic frame on the continued branch, where the frame
+represents the second canonical solution so that the value of the
+continued Y is frame * S2^-1 with S2 = I + s2 Delta+ the (a priori
+unknown) Stokes factor.  The unknown drops out algebraically: with
 
     N0 := F(-iR)^-1 T0 F(-iR),   Nx := F(iR)^-1 Tx F(iR)
 
-(T0, Tx the tame loop transfers), the monodromy data satisfies
+(T0, Tx the loop transfers), the monodromy data satisfies
 Mx = Nx, M0 = S2 N0 S2^-1, and the product identity
 Mx M0 = S1^-1 e^(-pi i thetainf J) S2^-1 forces
 
@@ -34,9 +34,9 @@ Mx M0 = S1^-1 e^(-pi i thetainf J) S2^-1 forces
 
 a linear solve; s1 then reads off the (2,1) entry and the diagonal
 entries provide a two-sided internal consistency check.  The remaining
-frame truncation error scales like R^-(orders+1) and is reduced further
-by Richardson extrapolation over R and 2R with that exponent:
-(2^(orders+1) M(2R) - M(R)) / (2^(orders+1) - 1).
+frame truncation error scales like R^-(FRAME_ORDERS+1) and is reduced
+further by Richardson extrapolation over R and 2R with that exponent:
+(2^(FRAME_ORDERS+1) M(2R) - M(R)) / (2^(FRAME_ORDERS+1) - 1).
 
 Every transfer is integrated in the interaction picture Y = e^(lambda J/2) Z
 (the substitution of exponential integrators; Hochbruck & Ostermann,
@@ -52,11 +52,11 @@ instead of the rotation: a single pass at R = 200 (400) takes 1.4x
 error more than ten times smaller.  A piece's transfer is mapped back with
 W = e^(lambda_end J/2) Z e^(-lambda_start J/2).
 
-A loop's transfer is the product of per-piece transfers.  Within one
-monodromy() call they are kept by piece: the 2R pass descends along
-[2iR -> iR, iR -> x + i] and [-2iR -> -iR, -iR -> -i] and shares the
-unit circles, so it integrates only the two new axis segments of length
-R.
+A loop's transfer is P^-1 C P, with P the product of the descent's
+per-piece transfers and C the circle's.  Within one monodromy() call the
+pieces are kept: the 2R pass descends along [2iR -> iR, iR -> x + i] and
+[-2iR -> -iR, -iR -> -i] and shares the unit circles, so it integrates
+only the two new axis segments of length R.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +89,7 @@ from .ode import integrate_rk54
 __all__ = [
     "Line",
     "Arc",
-    "LoopSpec",
+    "Loop",
     "loop_around_origin",
     "loop_around_x",
     "normalized_frame",
@@ -100,7 +100,10 @@ __all__ = [
     "MonodromyData",
 ]
 
-DEFAULT_FRAME_ORDERS = 8
+# asymptotic frame orders of monodromy(); the Richardson exponent is one more
+FRAME_ORDERS = 8
+# bound on the diagonal defect of Nx S2 N0 and on the Stokes trace identity
+CONSISTENCY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +123,6 @@ class Line:
     def direction(self) -> complex:
         return (self.end - self.start) / self.length
 
-    def point(self, t: float) -> complex:
-        return self.start + t * self.direction
-
     def locate(self, t: float) -> tuple[complex, complex]:
         """(point, velocity) at arclength t."""
         return self.start + t * self.direction, self.direction
@@ -138,9 +138,6 @@ class Arc:
     @property
     def length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
-
-    def point(self, t: float) -> complex:
-        return self.locate(t)[0]
 
     def locate(self, t: float) -> tuple[complex, complex]:
         """(point, velocity) at arclength t, from one complex exponential."""
@@ -160,93 +157,48 @@ class Arc:
 Piece = Line | Arc
 
 
-@dataclass
-class LoopSpec:
-    """A closed loop given by line/arc pieces, encircling one point."""
+@dataclass(frozen=True)
+class Loop:
+    """Down ``descent``, once around ``circle`` (positively) and back up
+    the same way; the base point is where the descent starts."""
 
-    base_point: complex
-    segments: list[Piece]
-    encircled_point: complex
-    orientation: int = 1
-    avoid: tuple[complex, ...] = field(default_factory=tuple)
-
-    def validate(self, other_points: Sequence[complex] = ()) -> None:
-        if self.segments:
-            if abs(self.segments[0].start - self.base_point) > 1e-9:
-                raise PathError("loop does not start at its base point")
-            for a, b in zip(self.segments, self.segments[1:]):
-                if abs(a.end - b.start) > 1e-9:
-                    raise PathError("loop pieces are not contiguous")
-            if abs(self.segments[-1].end - self.base_point) > 1e-9:
-                raise PathError("loop does not close at its base point")
-        w = self.winding_number(self.encircled_point)
-        if w != self.orientation:
-            raise PathError(
-                f"winding about encircled point is {w}, expected {self.orientation}"
-            )
-        for pt in other_points:
-            if self.winding_number(pt) != 0:
-                raise PathError(f"loop also winds about {pt}")
-
-    def winding_number(self, point: complex, samples_per_piece: int = 256) -> int:
-        total = 0.0
-        for piece in self.segments:
-            ts = np.linspace(0.0, piece.length, samples_per_piece)
-            zs = np.array([piece.point(t) - point for t in ts])
-            total += float(np.sum(np.angle(zs[1:] / zs[:-1])))
-        return round(total / (2.0 * math.pi))
+    descent: tuple[Line, ...]
+    circle: Arc
 
 
-def loop_around_origin(x: complex, R: float) -> LoopSpec:
-    """Base iR, left semicircular arc to -iR, axis segment to -i, unit
-    circle about 0 (positive), return by the same route."""
+def _axis_loop(unit: complex, R: float, R0: float | None, entry: complex, circle: Arc,
+               other: complex) -> Loop:
+    """Descent from unit*R along the imaginary axis to ``entry`` on the
+    circle, split at unit*R0 when R0 < R."""
+    R0 = R if R0 is None else R0
+    descent = (Line(unit * R0, entry),)
+    if R0 < R:
+        descent = (Line(unit * R, unit * R0), *descent)
+    # a descend-circle-return loop winds once about the points inside its
+    # circle and never about those outside
+    if abs(other - circle.center) <= circle.radius:
+        raise PathError(f"loop about {circle.center} also encloses {other}")
+    return Loop(descent, circle)
+
+
+def loop_around_x(x: complex, R: float, R0: float | None = None) -> Loop:
+    """Base iR, descent to x + i, unit circle about x."""
     half = math.pi / 2.0
-    seg_down = Line(-1j * R, -1j)
-    seg_up = Line(-1j, -1j * R)
-    return LoopSpec(
-        base_point=1j * R,
-        segments=[
-            Arc(0.0, R, half, 3.0 * half),
-            seg_down,
-            Arc(0.0, 1.0, -half, 3.0 * half),
-            seg_up,
-            Arc(0.0, R, 3.0 * half, half),
-        ],
-        encircled_point=0.0,
-        orientation=1,
-        avoid=(x,),
-    )
+    return _axis_loop(1j, R, R0, x + 1j, Arc(x, 1.0, half, half + 2.0 * math.pi), 0.0)
 
 
-def loop_around_x(x: complex, R: float) -> LoopSpec:
-    """Base iR, vertical descent to x + i, unit circle about x
-    (positive), return by the same route."""
+def loop_around_origin(x: complex, R: float, R0: float | None = None) -> Loop:
+    """Base -iR (on the continued branch), descent to -i, unit circle
+    about 0."""
     half = math.pi / 2.0
-    return LoopSpec(
-        base_point=1j * R,
-        segments=[
-            Line(1j * R, x + 1j),
-            Arc(x, 1.0, half, half + 2.0 * math.pi),
-            Line(x + 1j, 1j * R),
-        ],
-        encircled_point=x,
-        orientation=1,
-        avoid=(0.0,),
-    )
-
-
-def _min_distance(piece: Piece, point: complex, samples: int = 129) -> float:
-    if isinstance(piece, Line):
-        return _segment_distance(piece.start, piece.end, point)
-    ts = np.linspace(0.0, piece.length, samples)
-    return min(abs(piece.point(t) - point) for t in ts)
+    return _axis_loop(-1j, R, R0, -1j, Arc(0.0, 1.0, -half, 3.0 * half), x)
 
 
 # ---------------------------------------------------------------------------
 # asymptotic frame
 
 
-def frame_coefficients(s: FlowState, orders: int, diag_correction: bool = True):
+def frame_coefficients(s: FlowState, orders: int):
     """Coefficients G_1..G_orders of the expansion
     Y ~ (I + G_1/lambda + ...) e^(lambda/2 J) lambda^(-thetainf/2 J).
 
@@ -274,15 +226,14 @@ def frame_coefficients(s: FlowState, orders: int, diag_correction: bool = True):
         for j in range(1, k + 1):
             rhs = rhs + B(j) @ G[k - j]
         gk = mat(0.0, -rhs[0, 1], rhs[1, 0], 0.0)
-        if diag_correction:
-            acc11 = b1[0, 1] * gk[1, 0]
-            acc22 = b1[1, 0] * gk[0, 1]
-            for j in range(2, k + 2):
-                prod = B(j) @ G[k + 1 - j]
-                acc11 += prod[0, 0]
-                acc22 += prod[1, 1]
-            gk[0, 0] = -acc11 / k
-            gk[1, 1] = -acc22 / k
+        acc11 = b1[0, 1] * gk[1, 0]
+        acc22 = b1[1, 0] * gk[0, 1]
+        for j in range(2, k + 2):
+            prod = B(j) @ G[k + 1 - j]
+            acc11 += prod[0, 0]
+            acc22 += prod[1, 1]
+        gk[0, 0] = -acc11 / k
+        gk[1, 1] = -acc22 / k
         G.append(gk)
     return G[1:]
 
@@ -293,20 +244,20 @@ def normalized_frame(
     *,
     arg_lambda: float = math.pi / 2.0,
     orders: int = 1,
-    diag_correction: bool = False,
 ) -> np.ndarray:
     """Value of the normalized solution at lambda = R e^(i arg_lambda)
-    from its truncated asymptotic expansion.
+    from its asymptotic expansion truncated after ``orders`` terms, each
+    with its diagonal (``frame_coefficients``).
 
-    Defaults reproduce the minimal contract (first correction, zero
-    diagonal); monodromy() uses more orders with the diagonal included.
+    The default is the first correction; monodromy() takes FRAME_ORDERS
+    terms at arg pi/2 (base iR) and 3pi/2 (base -iR).
     """
     if R < 4.0 * (abs(s.x) + 10.0):
         raise RadiusError(f"normalization radius {R} < 4(|x|+10)")
     lam = BranchedLog(math.log(R), arg_lambda)
     z = lam.point
     series = np.array(I2, dtype=complex)
-    for k, gk in enumerate(frame_coefficients(s, orders, diag_correction), start=1):
+    for k, gk in enumerate(frame_coefficients(s, orders), start=1):
         series = series + gk / z**k
     return series @ exp_J(z / 2.0) @ power_J(lam, -s.params.thetainf / 2.0)
 
@@ -397,37 +348,36 @@ def _transfer(
     return W
 
 
-def continue_along(
-    s: FlowState, Y0: np.ndarray, path: LoopSpec, tol: float = 1e-12
-) -> np.ndarray:
-    """Analytic continuation of the solution with value ``Y0`` at the
-    path's base point, by direct ODE transport along the loop pieces.
-
-    The path must stay at distance >= 0.5 from both finite singular
-    points.  Deep excursions into Re lambda << 0 or >> 0, such as the arc
-    of ``loop_around_origin``, grow the transfer past 1e3 and are
-    rejected with ConsistencyError rather than silently returning garbage.
-    """
-    for piece in path.segments:
-        for pt in (0.0 + 0.0j, s.x):
-            if _min_distance(piece, pt) < 0.5:
-                raise PathError(f"path passes within 0.5 of singular point {pt}")
-    return _transfer(s, path.segments, tol) @ np.array(Y0, dtype=complex)
-
-
-def _loop_transfer_conjugated(
+def _loop_transfer(
     s: FlowState,
-    descent: Sequence[Line],
-    circle: Arc,
-    frame: np.ndarray,
+    loop: Loop,
     tol: float,
     cache: dict[Piece, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """frame^-1 (P^-1 C P) frame for a descend-circle-return loop."""
-    P = _transfer(s, descent, tol, cache)
-    C = _transfer(s, [circle], tol, cache)
-    T = mat_inv(P) @ C @ P
-    return mat_inv(frame) @ T @ frame
+    """P^-1 C P, with P the transfer down the loop's descent and C the
+    transfer once around its circle."""
+    P = _transfer(s, loop.descent, tol, cache)
+    C = _transfer(s, [loop.circle], tol, cache)
+    return mat_inv(P) @ C @ P
+
+
+def continue_along(s: FlowState, Y0: np.ndarray, loop: Loop, tol: float = 1e-12) -> np.ndarray:
+    """Analytic continuation around ``loop`` of the solution with value
+    ``Y0`` at the loop's base point, by direct ODE transport.
+
+    The loop must stay at distance >= 0.5 from both finite singular
+    points.  A piece that swings deep into Re lambda << 0 or >> 0 grows
+    its transfer past 1e3 and is rejected with ConsistencyError rather
+    than silently returning garbage.
+    """
+    c, r = loop.circle.center, loop.circle.radius
+    for pt in (0.0 + 0.0j, s.x):
+        near = abs(abs(pt - c) - r)
+        for line in loop.descent:
+            near = min(near, _segment_distance(line.start, line.end, pt))
+        if near < 0.5:
+            raise PathError(f"loop passes within 0.5 of singular point {pt}")
+    return _loop_transfer(s, loop, tol) @ np.array(Y0, dtype=complex)
 
 
 def _monodromy_single_radius(
@@ -435,8 +385,6 @@ def _monodromy_single_radius(
     R: float,
     R0: float,
     tol: float,
-    orders: int,
-    consistency_tol: float,
     cache: dict[Piece, np.ndarray],
 ):
     """Monodromy data from the frames at radius R.  Both descents are
@@ -445,23 +393,11 @@ def _monodromy_single_radius(
     x, ti = s.x, s.params.thetainf
     half = math.pi / 2.0
 
-    frame_top = normalized_frame(s, R, arg_lambda=half, orders=orders, diag_correction=True)
-    frame_bot = normalized_frame(s, R, arg_lambda=3.0 * half, orders=orders, diag_correction=True)
-
-    descent_x = [Line(1j * R0, x + 1j)]
-    descent_0 = [Line(-1j * R0, -1j)]
-    if R != R0:
-        descent_x.insert(0, Line(1j * R, 1j * R0))
-        descent_0.insert(0, Line(-1j * R, -1j * R0))
-
-    # loop about x: descent along the imaginary axis, unit circle at x
-    Nx = _loop_transfer_conjugated(
-        s, descent_x, Arc(x, 1.0, half, half + 2.0 * math.pi), frame_top, tol, cache
-    )
-    # loop about 0 rebased at -iR on the continued branch
-    N0 = _loop_transfer_conjugated(
-        s, descent_0, Arc(0.0, 1.0, -half, 3.0 * half), frame_bot, tol, cache
-    )
+    loop_x, loop_0 = loop_around_x(x, R, R0), loop_around_origin(x, R, R0)
+    frame_top = normalized_frame(s, R, arg_lambda=half, orders=FRAME_ORDERS)
+    frame_bot = normalized_frame(s, R, arg_lambda=3.0 * half, orders=FRAME_ORDERS)
+    Nx = mat_inv(frame_top) @ _loop_transfer(s, loop_x, tol, cache) @ frame_top
+    N0 = mat_inv(frame_bot) @ _loop_transfer(s, loop_0, tol, cache) @ frame_bot
 
     denom = Nx[0, 0] * N0[1, 1]
     if abs(denom) < 1e-12:
@@ -476,7 +412,7 @@ def _monodromy_single_radius(
     L = Nx @ S2 @ N0
     phase = cmath.exp(1j * math.pi * ti)
     defect = max(abs(L[0, 0] * phase - 1.0), abs(L[1, 1] / phase - 1.0))
-    if defect > consistency_tol:
+    if defect > CONSISTENCY_TOL:
         raise ConsistencyError(
             f"monodromy internal consistency failed: diagonal defect {defect:.3e}"
         )
@@ -484,38 +420,21 @@ def _monodromy_single_radius(
     return M0, Mx, s1, s2, defect
 
 
-def monodromy(
-    s: FlowState,
-    tol: float = 1e-12,
-    *,
-    R: float | None = None,
-    orders: int = DEFAULT_FRAME_ORDERS,
-    richardson: bool = True,
-    consistency_tol: float = 1e-6,
-) -> MonodromyData:
+def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> MonodromyData:
     """Monodromy data of the state by continuation around the two loops.
 
-    R defaults to 4(|x|+10); with ``richardson`` the computation runs at
-    R and 2R and extrapolates the matrices entrywise for an error that
-    scales like R^-(orders+1).  The two passes share every transfer but
-    the two axis segments between R and 2R.
+    R defaults to 4(|x|+10).  The computation runs at R and 2R and
+    extrapolates the matrices entrywise for an error that scales like
+    R^-(FRAME_ORDERS+1).  The two passes share every transfer but the
+    two axis segments between R and 2R.  A state with |x| <= 1, where
+    the unit circles about 0 and x overlap, raises PathError.
     """
     R0 = float(R) if R is not None else 4.0 * (abs(s.x) + 10.0)
     cache: dict[Piece, np.ndarray] = {}
-    M0a, Mxa, s1a, s2a, defa = _monodromy_single_radius(
-        s, R0, R0, tol, orders, consistency_tol, cache
-    )
-    if not richardson:
-        md = MonodromyData.from_pair(M0a, Mxa, s.params.thetainf)
-        md.diagnostics.update(
-            {"R": R0, "consistency_defect": defa, "richardson": False}
-        )
-        return md
-    M0b, Mxb, s1b, s2b, defb = _monodromy_single_radius(
-        s, 2.0 * R0, R0, tol, orders, consistency_tol, cache
-    )
-    # the frame error falls like R^-(orders+1)
-    q = 2.0 ** (orders + 1)
+    M0a, Mxa, s1a, s2a, defa = _monodromy_single_radius(s, R0, R0, tol, cache)
+    M0b, Mxb, s1b, s2b, defb = _monodromy_single_radius(s, 2.0 * R0, R0, tol, cache)
+    # the frame error falls like R^-(FRAME_ORDERS+1)
+    q = 2.0 ** (FRAME_ORDERS + 1)
     M0 = (q * M0b - M0a) / (q - 1.0)
     Mx = (q * Mxb - Mxa) / (q - 1.0)
     md = MonodromyData.from_pair(M0, Mx, s.params.thetainf)
@@ -534,7 +453,7 @@ def monodromy(
     phase = cmath.exp(-1j * math.pi * s.params.thetainf)
     lhs = prod[0, 0] + prod[1, 1]
     rhs = 2.0 * cmath.cos(math.pi * s.params.thetainf) + phase * md.s1 * md.s2
-    if abs(lhs - rhs) > consistency_tol:
+    if abs(lhs - rhs) > CONSISTENCY_TOL:
         raise ConsistencyError(
             f"Stokes trace identity defect {abs(lhs - rhs):.3e} after extrapolation"
         )

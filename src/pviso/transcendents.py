@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import (
@@ -71,10 +70,19 @@ class PVPoint:
 
 @dataclass
 class SeedLattice:
+    """Predicted roots and the smallness heuristic for their asymptotics,
+    which passes when score * strip_level <= 0.5."""
+
     kind: LatticeKind
     rho: complex
     seeds: list[tuple[int, complex]]
+    score: float  # series.smallness_score of the parameters
+    strip_level: float  # |rho c| for zeros, 1/|rho c| for poles
     roots: list[FlowState] | None = None  # refined states, set by refine_lattice
+
+    @property
+    def smallness_pass(self) -> bool:
+        return self.score * self.strip_level <= 0.5
 
 
 def yzu_from_matrices(s: FlowState) -> PVPoint:
@@ -166,14 +174,7 @@ def pv_residual(
     return abs(d2 - rhs)
 
 
-def zero_pole_seeds(
-    p: Parameters,
-    kind: LatticeKind,
-    m_from: int,
-    m_to: int,
-    *,
-    warn: bool = True,
-) -> SeedLattice:
+def zero_pole_seeds(p: Parameters, kind: LatticeKind, m_from: int, m_to: int) -> SeedLattice:
     """Predicted root locations: for zeros
 
         x_m = 2 m pi i - (sigma+1) log(2 m pi i) - log(rho0 c),
@@ -190,6 +191,7 @@ def zero_pole_seeds(
         raise PvisoValueError("m_from must be >= 1")
     if m_to < m_from:
         raise PvisoValueError("empty m range")
+    score = smallness_score(p)  # raises ZeroConstantError for c0 = 0 or cx = 0
     s, t0, tx, ti = p.sigma, p.theta0, p.thetax, p.thetainf
     c = p.c
     if kind is LatticeKind.ZERO:
@@ -202,23 +204,14 @@ def zero_pole_seeds(
             raise DegenerateParameterError("pole lattice needs theta0(+-theta0-thetax+thetainf) != 0")
         rho = -(s - 2.0 * tx + ti) / 4.0
         drift = -(s - 1.0)
-    if warn:
-        score = smallness_score(p)
-        target = abs(rho * c) if kind is LatticeKind.ZERO else 1.0 / abs(rho * c)
-        if score * target > 0.5:
-            warnings.warn(
-                "smallness heuristic is large "
-                f"(score {score:.2f}, strip level {target:.3f}); the seed "
-                "asymptotics may be inaccurate",
-                stacklevel=2,
-            )
+    level = abs(rho * c) if kind is LatticeKind.ZERO else 1.0 / abs(rho * c)
     log_rc = cmath.log(rho * c)
     seeds = []
     for m in range(m_from, m_to + 1):
         two_m_pi_i = 2.0 * m * math.pi * 1j
         lg = complex(math.log(2.0 * m * math.pi), math.pi / 2.0)
         seeds.append((m, two_m_pi_i + drift * lg - log_rc))
-    return SeedLattice(kind=kind, rho=rho, seeds=seeds)
+    return SeedLattice(kind=kind, rho=rho, seeds=seeds, score=score, strip_level=level)
 
 
 def _newton(s: FlowState, kind: LatticeKind) -> tuple[complex, complex]:
@@ -290,7 +283,7 @@ def refine_lattice(
     axis at the top seed, and every root starts from the state at the
     root above.  The returned lattice's ``roots`` holds the state at
     each root, in seed order."""
-    lattice = zero_pole_seeds(p, kind, m_from, m_to, warn=False)
+    lattice = zero_pole_seeds(p, kind, m_from, m_to)
     top = 1j * lattice.seeds[-1][1].imag
     radius = max(300.0, 2.0 * abs(top))
     state = refine_from_series(p, radius, top, flow_tol, diagnostics=False).state

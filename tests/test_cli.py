@@ -84,6 +84,22 @@ def test_zeros_table_seed_column(tmp_path):
     assert len(lines) == 4
 
 
+def test_lattice_smallness_reported(tmp_path):
+    # README's example config fails the smallness heuristic; the JSON says so
+    path = _write(tmp_path, P1_CFG)
+    for command, level in (("zeros", 5.273), ("poles", 94.229)):
+        rc, doc = _run(tmp_path, ["--config", path, command, "--m-to", "12", "--no-refine"])
+        assert rc == 0
+        smallness = doc["result"]["smallness"]
+        assert round(smallness["score"], 2) == 2.16
+        assert round(smallness["strip_level"], 3) == level
+        assert smallness["pass"] is False
+
+
+def test_zero_cx_lattice_exit_code():
+    assert main([*P1_FLAGS, "--c0", "1", "--cx", "0", "zeros", "--no-refine"]) == 2
+
+
 def test_braid_roundtrip(tmp_path):
     cfg = _write(tmp_path, P1_CFG)
     rc, doc = _run(tmp_path, ["--config", cfg, "braid", "--steps", "2"])

@@ -12,13 +12,14 @@ from pviso import monodromy as monodromy_module
 from pviso.monodromy import (
     Arc,
     Line,
-    LoopSpec,
+    Loop,
     continue_along,
     loop_around_origin,
     loop_around_x,
     monodromy,
     normalized_frame,
     _linear_field,
+    _loop_transfer,
     _transfer,
 )
 from pviso.ode import integrate_rk54
@@ -39,15 +40,27 @@ def _zero_state(x=40j):
     return FlowState(x=x, A0=np.zeros((2, 2), complex), Ax=np.zeros((2, 2), complex), params=PZERO)
 
 
-def test_loopspec_validation():
-    l0 = loop_around_origin(40j, 200.0)
-    l0.validate(other_points=[40j])
-    lx = loop_around_x(40j, 200.0)
-    lx.validate(other_points=[0.0])
-    assert l0.winding_number(0.0) == 1
-    assert l0.winding_number(40j) == 0
-    assert lx.winding_number(40j) == 1
-    assert lx.winding_number(0.0) == 0
+def test_loop_validation():
+    # the builders' pieces join up: descent, circle, and the circle closes
+    for build, base in ((loop_around_x, 1j), (loop_around_origin, -1j)):
+        for R, R0, n_lines in ((200.0, None, 1), (400.0, 200.0, 2)):
+            loop = build(40j, R, R0)
+            pieces = [*loop.descent, loop.circle]
+            assert len(loop.descent) == n_lines
+            assert abs(pieces[0].start - base * R) <= 1e-9
+            for a, b in zip(pieces, pieces[1:]):
+                assert abs(a.end - b.start) <= 1e-9
+            assert abs(loop.circle.end - loop.circle.start) <= 1e-9
+    # at |x| < 1 each circle also encloses the other singular point
+    with pytest.raises(PathError):
+        loop_around_x(0.5j, 200.0)
+    with pytest.raises(PathError):
+        loop_around_origin(0.5j, 200.0)
+
+
+def test_monodromy_rejects_overlapping_circles():
+    with pytest.raises(PathError):
+        monodromy(_zero_state(0.5j), 1e-12)
 
 
 def test_normalized_frame_zero_state():
@@ -147,12 +160,6 @@ def test_monodromy_feval_budget(state40, monkeypatch):
     assert calls["nfev"] <= 25_000
 
 
-def test_continue_along_empty_path(state40):
-    path = LoopSpec(base_point=200j, segments=[], encircled_point=0.0)
-    y0 = normalized_frame(state40, 200.0)
-    assert np.allclose(continue_along(state40, y0, path), y0)
-
-
 def test_continue_along_zero_state_loop_closes():
     s = _zero_state()
     y0 = exp_J(100j)
@@ -169,19 +176,14 @@ def test_continue_along_det_preserved(state40):
 
 
 def test_continue_along_rejects_deep_arc(state40):
-    # the arc of loop_around_origin reaches Re lambda = -200, where the
+    # the left arc from 200i to -200i reaches Re lambda = -200, where the
     # transfer grows to ~1e71 and the determinant check could pass anything
-    y0 = normalized_frame(state40, 200.0)
     with pytest.raises(ConsistencyError):
-        continue_along(state40, y0, loop_around_origin(40j, 200.0), 1e-12)
+        _transfer(state40, [Arc(0.0, 200.0, math.pi / 2.0, 1.5 * math.pi)], 1e-12)
 
 
 def test_continue_along_rejects_close_path(state40):
-    bad = LoopSpec(
-        base_point=40.5j,
-        segments=[Arc(40j, 0.3, math.pi / 2.0, math.pi / 2.0 + 2.0 * math.pi)],
-        encircled_point=40j,
-    )
+    bad = Loop(descent=(), circle=Arc(40j, 0.3, math.pi / 2.0, math.pi / 2.0 + 2.0 * math.pi))
     with pytest.raises(PathError):
         continue_along(state40, np.array(I2), bad, 1e-12)
 
@@ -217,25 +219,23 @@ def test_monodromy_matches_closed_form_smoke(state40):
 
 
 def test_radius_doubling_changes_little(state40):
-    md = monodromy(state40, 1e-12, richardson=True)
+    md = monodromy(state40, 1e-12)
     assert md.diagnostics["radius_doubling_change"] <= 1e-5
 
 
 def test_homotopy_invariance_of_pieces(state40):
     # replacing the unit circle by radius 1.4 and entering one unit higher
     # must not change Mx beyond the transport tolerance scale
-    from pviso.monodromy import _loop_transfer_conjugated, normalized_frame as nf
-
     tol = 1e-10
     R = 200.0
-    frame = nf(state40, R, orders=6, diag_correction=True)
+    frame = normalized_frame(state40, R, orders=6)
     half = math.pi / 2.0
-    a = _loop_transfer_conjugated(
-        state40, [Line(1j * R, 40j + 1j)], Arc(40j, 1.0, half, half + 2 * math.pi), frame, tol
-    )
-    b = _loop_transfer_conjugated(
-        state40, [Line(1j * R, 40j + 1.4j)], Arc(40j, 1.4, half, half + 2 * math.pi), frame, tol
-    )
+
+    def conjugated(loop):
+        return mat_inv(frame) @ _loop_transfer(state40, loop, tol) @ frame
+
+    a = conjugated(Loop((Line(1j * R, 40j + 1j),), Arc(40j, 1.0, half, half + 2 * math.pi)))
+    b = conjugated(Loop((Line(1j * R, 40j + 1.4j),), Arc(40j, 1.4, half, half + 2 * math.pi)))
     assert mat_norm(a - b) <= 10.0 * tol * 100.0
 
 

@@ -1,13 +1,12 @@
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from pviso.errors import ConvergenceError, DegenerateParameterError, PvisoValueError
 from pviso.flow import FlowState, integrate, refine_from_series
-from pviso.series import Parameters
+from pviso.series import Parameters, smallness_score
 from pviso.transcendents import (
     DegenerateBranch,
     _newton,
@@ -167,7 +166,7 @@ def test_pv_residual_negative_control():
 def test_zero_pole_seed_values():
     # sigma = 0 and rho0 c = 1: x_10 = 20 pi i - log(20 pi i)
     p = Parameters(theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=-0.31 / 4.0, sigma=0.0)
-    lat = zero_pole_seeds(p, LatticeKind.ZERO, 10, 10, warn=False)
+    lat = zero_pole_seeds(p, LatticeKind.ZERO, 10, 10)
     assert abs(lat.rho * p.c - 1.0) < 1e-12
     m, seed = lat.seeds[0]
     expected = complex(-math.log(20.0 * math.pi), 20.0 * math.pi - math.pi / 2.0)
@@ -182,7 +181,7 @@ def test_pole_seed_values():
     # pole variant with rhoinf c = 1: x_10 = 20 pi i + log(20 pi i)
     cx = -4.0 / (0.3 - 2.0 * 0.45 + 0.1)  # makes rhoinf*c = 1
     p = Parameters(theta0=0.05, thetax=0.45, thetainf=0.1, c0=1.0, cx=cx, sigma=0.3)
-    lat = zero_pole_seeds(p, LatticeKind.POLE, 10, 10, warn=False)
+    lat = zero_pole_seeds(p, LatticeKind.POLE, 10, 10)
     assert abs(lat.rho * p.c - 1.0) < 1e-12
     _, seed = lat.seeds[0]
     expected = complex(math.log(20.0 * math.pi), 20.0 * math.pi + math.pi / 2.0)
@@ -192,7 +191,7 @@ def test_pole_seed_values():
 
 
 def test_seed_spacing_invariant():
-    lat = zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 30, warn=False)
+    lat = zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 30)
     for (m1, x1), (m2, x2) in zip(lat.seeds, lat.seeds[1:]):
         gap = x2 - x1 - 2j * math.pi
         assert abs(gap) <= 4.0 * (abs(PZ.sigma) + 1.0) * math.log(m1 + 1) / m1
@@ -200,20 +199,28 @@ def test_seed_spacing_invariant():
 
 def test_seed_m_range_guard():
     with pytest.raises(PvisoValueError):
-        zero_pole_seeds(PZ, LatticeKind.ZERO, 0, 5, warn=False)
+        zero_pole_seeds(PZ, LatticeKind.ZERO, 0, 5)
 
 
-def test_smallness_warning_fires():
-    p = PZ.replace(cx=2.0)  # large strip level
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        zero_pole_seeds(p, LatticeKind.ZERO, 10, 11)
-    assert any("smallness" in str(w.message) for w in rec)
+def test_smallness_heuristic_recorded():
+    # the lattice records score and strip level; the heuristic passes when
+    # their product is <= 0.5, which takes a small |c| and large |c0|
+    small = Parameters(theta0=0.4, thetax=0.01, thetainf=0.02, c0=16.0, cx=0.025, sigma=0.0)
+    lat = zero_pole_seeds(small, LatticeKind.ZERO, 10, 11)
+    assert lat.score == smallness_score(small)
+    assert abs(lat.strip_level - abs(lat.rho * small.c)) <= 1e-15 * lat.strip_level
+    assert lat.score * lat.strip_level <= 0.5 and lat.smallness_pass
+    # README's example config fails it for zeros and for poles
+    zeros = zero_pole_seeds(P1, LatticeKind.ZERO, 10, 12)
+    poles = zero_pole_seeds(P1, LatticeKind.POLE, 10, 12)
+    assert round(zeros.score, 2) == 2.16 and zeros.score == poles.score
+    assert round(zeros.strip_level, 3) == 5.273 and round(poles.strip_level, 3) == 94.229
+    assert not zeros.smallness_pass and not poles.smallness_pass
 
 
 @pytest.fixture(scope="module")
 def zero_lattice_state():
-    lat = zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 13, warn=False)
+    lat = zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 13)
     top = 1j * lat.seeds[-1][1].imag
     state = refine_from_series(PZ, 400.0, top, 1e-12, diagnostics=False).state
     return lat, state
@@ -238,7 +245,7 @@ def test_refine_root_zeros(zero_lattice_state):
 def test_newton_derivative_matches_centred_difference(p, kind):
     # Newton's F' from the vector field against a centred difference of
     # F = y (zeros) or 1/y (poles) transported to x -+ h, at a lattice seed
-    _, seed = zero_pole_seeds(p, kind, 10, 10, warn=False).seeds[0]
+    _, seed = zero_pole_seeds(p, kind, 10, 10).seeds[0]
     state = refine_from_series(p, 300.0, 1j * seed.imag, 1e-12, diagnostics=False).state
     state = integrate(state, seed, 1e-12)
 
