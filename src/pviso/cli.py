@@ -240,13 +240,19 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
             st = lattice.roots[i]
             err = abs(st.x - seed)
             scaled = err * m / math.log(m)
-            fval = transcendents.root_residual(st, kind)
-            rec.update(refined=_c2w(st.x), abs_error=err, scaled_error=scaled, residual=fval)
-            row += [st.x.real, st.x.imag, err, scaled, fval]
+            fval, root_error = transcendents.root_check(st, kind)
+            rec.update(
+                refined=_c2w(st.x),
+                abs_error=err,
+                scaled_error=scaled,
+                residual=fval,
+                root_error=root_error,
+            )
+            row += [st.x.real, st.x.imag, err, scaled, fval, root_error]
         entries.append(rec)
         rows.append(row)
     header = "m,re_seed,im_seed" + (
-        ",re_refined,im_refined,abs_error,scaled_error,residual" if refine else ""
+        ",re_refined,im_refined,abs_error,scaled_error,residual,root_error" if refine else ""
     )
     smallness = {
         "score": lattice.score,
@@ -254,6 +260,13 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
         "pass": lattice.smallness_pass,
     }
     result = {"kind": kind.value, "rho": _c2w(lattice.rho), "smallness": smallness, "table": entries}
+    if refine:
+        anchor = lattice.anchor
+        result["anchor"] = {
+            "seed_radius": anchor.seed_radius,
+            "degree": anchor.degree,
+            "seed_truncation": anchor.seed_truncation,
+        }
     return result, [header, rows]
 
 

@@ -17,17 +17,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantDriftError, OriginError, PathError, PvisoValueError
+from .errors import DomainError, InvariantDriftError, OriginError, PathError, PvisoValueError
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
-from .series import Parameters, domain_check, series_A_pair
+from .series import Parameters, domain_check, series_A_pair, series_seed
 
-__all__ = ["FlowState", "RefineResult", "rhs", "integrate", "ray_stencil", "refine_from_series",
-           "refine_at"]
+__all__ = ["FlowState", "RefineResult", "Seed", "rhs", "integrate", "ray_stencil",
+           "refine_from_series", "refine_at", "seed_state", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
 # admissible-strip margin of the series seed
 _SEED_EPS = 0.1
+# total degree of the series behind seed_state
+SEED_DEGREE = 5
 
 
 @dataclass
@@ -70,6 +72,15 @@ class FlowState:
 class RefineResult(NamedTuple):
     state: FlowState
     diagnostic: float
+
+
+class Seed(NamedTuple):
+    """A state from ``seed_state`` and how it was seeded."""
+
+    state: FlowState
+    seed_radius: float  # the series was evaluated at i*seed_radius
+    degree: int  # total degree of the series
+    seed_truncation: float  # largest entry of the last degree's terms
 
 
 def _flow_field(x0: complex, u: complex):
@@ -185,6 +196,14 @@ def _project_eigenvalue_constraints(A: np.ndarray, theta: complex) -> np.ndarray
     return out
 
 
+def _projected_state(p: Parameters, x: complex, A0: np.ndarray, Ax: np.ndarray) -> FlowState:
+    """The series pair at x nudged onto the exact determinant constraints
+    det A0 = -theta0^2/4, det Ax = -thetax^2/4."""
+    A0 = _project_eigenvalue_constraints(A0, p.theta0)
+    Ax = _project_eigenvalue_constraints(Ax, p.thetax)
+    return FlowState(x=x, A0=A0, Ax=Ax, params=p, validate=False)
+
+
 def refine_from_series(
     p: Parameters,
     seed_radius: float,
@@ -192,15 +211,13 @@ def refine_from_series(
     tol: float = 1e-12,
     *,
     diagnostics: bool = True,
-    project: bool = True,
 ) -> RefineResult:
     """Seed the pair from the series at x = i*seed_radius and transport
     to ``x_target``.
 
     The seed is the L2 series truncation, every coefficient up to total
-    degree 3.  With ``project`` the seed is nudged onto the exact
-    determinant constraints det A0 = -theta0^2/4, det Ax = -thetax^2/4
-    before the transport.
+    degree 3, nudged onto the exact determinant constraints
+    det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
     The returned diagnostic is the max entry difference against the same
     transport seeded at twice the radius; it estimates the seed
     truncation error surviving at the target.
@@ -214,11 +231,7 @@ def refine_from_series(
 
     def run(radius: float) -> FlowState:
         ab = series_A_pair(p, 1j * radius, eps=_SEED_EPS)
-        A0, Ax = ab.A0, ab.Ax
-        if project:
-            A0 = _project_eigenvalue_constraints(A0, p.theta0)
-            Ax = _project_eigenvalue_constraints(Ax, p.thetax)
-        st = FlowState(x=ab.x, A0=A0, Ax=Ax, params=p, validate=False)
+        st = _projected_state(p, ab.x, ab.A0, ab.Ax)
         if st.x == x_target:
             return st
         return integrate(st, x_target, tol)
@@ -238,3 +251,34 @@ def refine_at(p: Parameters, x: complex, tol=1e-12, *, seed_radius=None, diagnos
     default at max(300, 3|x|)."""
     radius = seed_radius or max(300.0, 3.0 * abs(x))
     return refine_from_series(p, radius, x, tol, diagnostics=diagnostics)
+
+
+def seed_state(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
+    """The state at x = i r on the axis from the series of total degree
+    ``SEED_DEGREE``, projected as in ``refine_from_series``.
+
+    The series is evaluated at x itself when x lies in its admissible
+    strip and the seed truncation is within the drift budget
+    100 tol (1 + |A0| + |Ax|) that ``integrate`` applies.  Otherwise it
+    is evaluated at 2x, 4x, ... up to max(300, 2r), where it is taken
+    whatever its truncation, and the state is transported down to x.
+    The transport costs about 80 field evaluations per unit of length,
+    so each doubling that passes saves most of the way from max(300, 2r).
+    """
+    x = complex(x)
+    if x.real != 0.0 or x.imag <= 0.0:
+        raise PathError(f"seed_state needs a point i r with r > 0, not {x}")
+    radius, ceiling = x.imag, max(300.0, 2.0 * x.imag)
+    while True:
+        try:
+            A0, Ax, truncation = series_seed(p, 1j * radius, SEED_DEGREE)
+        except DomainError:
+            if radius == ceiling:
+                raise
+        else:
+            state = _projected_state(p, 1j * radius, A0, Ax)
+            budget = 100.0 * tol * (1.0 + mat_norm(state.A0) + mat_norm(state.Ax))
+            if truncation <= budget or radius == ceiling:
+                break
+        radius = min(2.0 * radius, ceiling)
+    return Seed(integrate(state, x, tol), radius, SEED_DEGREE, truncation)

@@ -21,6 +21,13 @@ Truncation levels:
      "Asymptotics and Borel Summability", 2008).  It reproduces every
      printed coefficient and adds the ones L1 leaves out, including
      eight at total degree 2.
+
+The order-by-order solver is generic in the total degree D: the plan,
+its straight-line compilation and the basis of (D+1)^2 terms E^n x^-k
+are generated from the term list, once per degree on first use.
+``series_seed`` evaluates the pair at any degree together with its seed
+truncation, the largest entry of the degree-D terms' contribution to A0
+and Ax.  Truncation.L2 is degree 3.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "gamma_quad",
     "leading_lambda_matrices",
     "series_A_pair",
+    "series_seed",
     "series_A_pair_degenerate",
     "domain_check",
     "smallness_score",
@@ -269,10 +277,15 @@ def smallness_score(p: Parameters) -> float:
 # of the other four.  One pass per degree solves everything: no iteration,
 # and no division by a parameter.
 
-_L2_DEGREE = 3
-_L2_TERMS = tuple(
-    (n, d - n) for d in range(_L2_DEGREE + 1) for n in range(-d, d + 1)
-)
+_L2_DEGREE = 3  # the total degree of Truncation.L2
+
+
+def _terms(degree: int) -> tuple:
+    """(n, k) of every term E^n x^-k of total degree <= ``degree``: by
+    degree, then n from -degree to degree."""
+    return tuple((n, d - n) for d in range(degree + 1) for n in range(-d, d + 1))
+
+
 _DL, _FP, _GP, _FM, _GM = range(5)
 _XE, _EX = (1, -1), (-1, 1)  # multiplication by x E and by E^-1 x^-1
 _NOSHIFT = (0, 0)
@@ -287,8 +300,9 @@ _L2_RHS = {
 }
 
 
-def _l2_plan():
-    """The solve as a list of steps (slot, divisor, linear, bilinear).
+def _l2_plan(degree: int):
+    """The solve to total degree ``degree`` as a list of steps (slot,
+    divisor, linear, bilinear).
 
     A step sets c[slot] = (sum of coef[i] * c[j] over ``linear`` + sum of
     w * c[j] * c[k] over each group (w, pairs) of ``bilinear``) / divisor.
@@ -296,8 +310,9 @@ def _l2_plan():
     returned coefficient basis.  Terms that vanish for every parameter
     set are left out.
     """
-    nt = len(_L2_TERMS)
-    slot = {(y, t): y * nt + i for y in range(5) for i, t in enumerate(_L2_TERMS)}
+    terms = _terms(degree)
+    nt = len(terms)
+    slot = {(y, t): y * nt + i for y in range(5) for i, t in enumerate(terms)}
     known = {(y, (0, 0)) for y in (_FP, _GP, _FM, _GM)}
     coefs: dict[tuple, int] = {}
     steps = []
@@ -308,7 +323,7 @@ def _l2_plan():
             linear.append((coefs.setdefault(self_coef, len(coefs)), slot[y, (n, j)]))
         products, cross = _L2_RHS[y]
         for w, u, v, (sn, sk) in products:
-            for tu in _L2_TERMS:
+            for tu in terms:
                 tv = (n - sn - tu[0], j - sk - tu[1])
                 if (u, tu) in known and (v, tv) in known:
                     bilinear.setdefault(w, []).append((slot[u, tu], slot[v, tv]))
@@ -324,9 +339,9 @@ def _l2_plan():
         steps.append((slot[target], divisor, tuple(linear), groups))
         return [target]
 
-    for d in range(1, _L2_DEGREE + 1):
+    for d in range(1, degree + 1):
         new = []
-        for n, k in _L2_TERMS:
+        for n, k in terms:
             if n != 0 and n + k == d:
                 for y in range(5):
                     # n c[n,k] + (n (sigma-1) - (k-1)) c[n,k-1] = rhs[n,k-1]
@@ -338,12 +353,12 @@ def _l2_plan():
     return tuple(steps), tuple(sorted(coefs, key=coefs.get))
 
 
-def _compile_plan(plan):
-    """Straight-line Python for ``plan``: the same arithmetic in the same
-    order as stepping through it, in about two thirds of the time.  The
-    solve runs once per parameter set, so it is on the path of every scan
-    of a parameter box."""
-    nt = len(_L2_TERMS)
+def _compile_plan(plan, degree: int):
+    """Straight-line Python for ``plan`` (the solve to ``degree``): the
+    same arithmetic in the same order as stepping through it, in about two
+    thirds of the time.  The solve runs once per parameter set, so it is
+    on the path of every scan of a parameter box."""
+    nt = len(_terms(degree))
     seeds = [y * nt for y in (_FP, _GP, _FM, _GM)]
     lines = [f"def solve(coef, {', '.join(f'c{i}' for i in seeds)}):"]
     known = set(seeds)
@@ -362,40 +377,67 @@ def _compile_plan(plan):
     return namespace["solve"]
 
 
-_L2_PLAN, _L2_COEF_BASIS = _l2_plan()
-_l2_solve = _compile_plan(_L2_PLAN)
+@functools.lru_cache(maxsize=None)
+def _solver(degree: int):
+    """The compiled solve to ``degree`` and its coefficient basis, built
+    on first use: compiling is what costs time and memory, about 4 ms at
+    degree 3 and 12 ms at degree 5."""
+    plan, coef_basis = _l2_plan(degree)
+    return _compile_plan(plan, degree), coef_basis
 
 
 @functools.lru_cache(maxsize=16)
-def _l2_coefficients(p: Parameters) -> np.ndarray:
-    """Read-only (5, 16) array of c[n, k]: rows dl, Fp, Gp, Fm, Gm, columns
-    in ``_L2_TERMS`` order.  Cached per parameter set, since callers
-    evaluate one family at several points."""
+def _l2_coefficients(p: Parameters, degree: int = _L2_DEGREE) -> np.ndarray:
+    """Read-only (5, (degree+1)^2) array of c[n, k]: rows dl, Fp, Gp, Fm,
+    Gm, columns in ``_terms(degree)`` order.  Cached per parameter set,
+    since callers evaluate one family at several points."""
+    solve, coef_basis = _solver(degree)
     g = gamma_quad(p)
     s, ti = p.sigma, p.thetainf
     a, b = (s + ti) / 2.0, (s - ti) / 2.0
-    coef = [q * s + r + u * a + v * b for q, r, u, v in _L2_COEF_BASIS]
-    out = np.array(_l2_solve(coef, g.g0p, g.gxp, g.g0m, g.gxm))
-    out = out.reshape(5, len(_L2_TERMS))
+    coef = [q * s + r + u * a + v * b for q, r, u, v in coef_basis]
+    out = np.array(solve(coef, g.g0p, g.gxp, g.g0m, g.gxm))
+    out = out.reshape(5, (degree + 1) ** 2)
     out.setflags(write=False)
     return out
 
 
-def _l2_components(p, ep, em, ix):
-    """f0 and the normalized Fp, Gp, Fm, Gm at one point (see above)."""
-    ix2, ep2, em2 = ix * ix, ep * ep, em * em
-    # E^n x^-k in _L2_TERMS order (by degree, then n from -degree to degree),
-    # written out for _L2_DEGREE = 3
-    basis = np.array(
-        [
-            1.0,
-            em, ix, ep,
-            em2, em * ix, ix2, ep * ix, ep2,
-            em2 * em, em2 * ix, em * ix2, ix2 * ix, ep * ix2, ep2 * ix, ep2 * ep,
-        ]
-    )
-    dl, fp, gp, fm, gm = (_l2_coefficients(p) @ basis).tolist()
-    return (p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm
+@functools.lru_cache(maxsize=None)
+def _monomials(degree: int):
+    """Straight-line Python for the terms E^n x^-k at one point, in
+    ``_terms(degree)`` order, as E+^n x^-k (n >= 0) or E-^-n x^-(k+2n)
+    (n < 0): a power of E+ or E- times a power of 1/x.  Powers come from
+    repeated multiplication, and a mixed term is one product of two
+    powers."""
+
+    def power(base, k):
+        return base if k == 1 else f"{base}{k}"
+
+    lines = ["def monomials(ep, em, ix):"]
+    for base in ("ep", "em", "ix"):
+        lines += [f"    {power(base, k)} = {power(base, k - 1)} * {base}" for k in range(2, degree + 1)]
+    terms = []
+    for n, k in _terms(degree):
+        a, j = abs(n), n + k - abs(n)  # powers of E+- and of 1/x
+        e, i = power("em" if n < 0 else "ep", a), power("ix", j)
+        terms.append("1.0" if a == j == 0 else e if j == 0 else i if a == 0 else f"{e} * {i}")
+    lines.append(f"    return np.array([{', '.join(terms)}])")
+    namespace: dict = {"np": np}
+    exec("\n".join(lines), namespace)
+    return namespace["monomials"]
+
+
+_L2_MONOMIALS = _monomials(_L2_DEGREE)
+
+
+def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
+    """f0 and the normalized Fp, Gp, Fm, Gm at one point (see above) from
+    every term of total degree <= ``degree``, with the coefficients and
+    the terms E^n x^-k they sum."""
+    monomials = _L2_MONOMIALS if degree == _L2_DEGREE else _monomials(degree)
+    coefs, basis = _l2_coefficients(p, degree), monomials(ep, em, ix)
+    dl, fp, gp, fm, gm = (coefs @ basis).tolist()
+    return ((p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm), coefs, basis
 
 
 def _printed_components(p, ep, em, ix, l1):
@@ -453,44 +495,30 @@ def _printed_components(p, ep, em, ix, l1):
     return f0, fp, gp, fm, gm
 
 
-def series_A_pair(
-    p: Parameters,
-    x: complex,
-    order: Truncation = Truncation.L2,
-    *,
-    arg_x: float | None = None,
-    check_domain: bool = True,
-    eps: float = 0.1,
-) -> ABPair:
-    """Evaluate the generic three-parameter series at the truncation
-    ``order`` (a Truncation or its name)."""
-    order = Truncation(order)
-    x = complex(x)
+def _expansion(p: Parameters, x: complex, arg_x, check_domain: bool, eps: float):
+    """The branched log of x and e^x, E+, E-, 1/x there, after the strip
+    check."""
     bl = _branched(x, arg_x)
     if check_domain and not _in_strip(p, x, eps, bl.tracked_arg):
         raise DomainError(f"x = {x} outside the admissible strip (eps = {eps})")
-
-    s, ti = p.sigma, p.thetainf
     ex = cmath.exp(x)
-    emx = 1.0 / ex
-    x_s1 = branched_power(bl, s - 1.0)  # x^(sigma-1)
-    ep = ex * x_s1  # E+
-    em = emx / (x * x * x_s1)  # E- = e^-x x^(-sigma-1)
-    ix = 1.0 / x
-    if order is Truncation.L2:
-        f0, fp, gp, fm, gm = _l2_components(p, ep, em, ix)
-    else:
-        f0, fp, gp, fm, gm = _printed_components(p, ep, em, ix, order is Truncation.L1)
-    g0 = -ti / 2.0 - f0
+    x_s1 = branched_power(bl, p.sigma - 1.0)  # x^(sigma-1)
+    # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
+    return bl, ex, ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x
 
-    # prefactors that undo the normalizations
-    w = branched_power(bl, (s + ti) / 2.0)  # x^((sigma+thetainf)/2)
-    v = branched_power(bl, (s - ti) / 2.0)  # x^((sigma-thetainf)/2)
-    fplus = fp / w
-    gplus = gp * ex * v
-    fminus = fm * w
-    gminus = gm * emx / v
 
+def _unnormalize(p: Parameters, bl: BranchedLog, ex: complex, fp, gp, fm, gm):
+    """(f+, g+, f-, g-) from the normalized (Fp, Gp, Fm, Gm) at the point
+    of ``bl``, where e^x = ``ex``."""
+    w = branched_power(bl, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
+    v = branched_power(bl, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
+    return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
+
+
+def _ab_pair(p, x, bl, ex, order, f0, fp, gp, fm, gm) -> ABPair:
+    """The pair at x from f0 and the normalized Fp, Gp, Fm, Gm there."""
+    g0 = -p.thetainf / 2.0 - f0
+    fplus, gplus, fminus, gminus = _unnormalize(p, bl, ex, fp, gp, fm, gm)
     return ABPair(
         A0=mat(f0, fplus, fminus, -f0),
         Ax=mat(g0, gplus, gminus, -g0),
@@ -504,6 +532,45 @@ def series_A_pair(
         truncation_order=order,
         arg_x=bl.tracked_arg,
     )
+
+
+def series_A_pair(
+    p: Parameters,
+    x: complex,
+    order: Truncation = Truncation.L2,
+    *,
+    arg_x: float | None = None,
+    check_domain: bool = True,
+    eps: float = 0.1,
+) -> ABPair:
+    """Evaluate the generic three-parameter series at the truncation
+    ``order`` (a Truncation or its name)."""
+    order = Truncation(order)
+    x = complex(x)
+    bl, ex, ep, em, ix = _expansion(p, x, arg_x, check_domain, eps)
+    if order is Truncation.L2:
+        components = _l2_components(p, ep, em, ix)[0]
+    else:
+        components = _printed_components(p, ep, em, ix, order is Truncation.L1)
+    return _ab_pair(p, x, bl, ex, order, *components)
+
+
+def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """A0 and Ax at x from every term of total degree <= ``degree``,
+    solved order by order as for Truncation.L2, and the seed truncation:
+    the largest entry of the degree-``degree`` terms' contribution to A0
+    and Ax.  That last order overestimates the error of the sum (at 250i
+    and degree 5, by 30-50x against a degree-12 series).  Raises
+    DomainError outside the admissible strip of ``series_A_pair``'s
+    default eps."""
+    x = complex(x)
+    bl, ex, ep, em, ix = _expansion(p, x, None, True, 0.1)
+    components, coefs, basis = _l2_components(p, ep, em, ix, degree)
+    ab = _ab_pair(p, x, bl, ex, Truncation.L2, *components)
+    top = degree * degree  # the terms of total degree `degree` come last
+    tail_dl, *tail = (coefs[:, top:] @ basis[top:]).tolist()
+    truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, bl, ex, *tail)))
+    return ab.A0, ab.Ax, truncation
 
 
 def series_A_pair_degenerate(

@@ -25,7 +25,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, integrate, ray_stencil, refine_at, refine_from_series, rhs
+from .flow import FlowState, Seed, integrate, ray_stencil, refine_at, rhs, seed_state
 from .series import Parameters, domain_check, smallness_score
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "y_degenerate_series",
     "pv_residual",
     "zero_pole_seeds",
-    "root_residual",
+    "root_check",
     "refine_root",
     "refine_lattice",
     "backlund_pi",
@@ -78,7 +78,10 @@ class SeedLattice:
     seeds: list[tuple[int, complex]]
     score: float  # series.smallness_score of the parameters
     strip_level: float  # |rho c| for zeros, 1/|rho c| for poles
-    roots: list[FlowState] | None = None  # refined states, set by refine_lattice
+    # set by refine_lattice: the state at each root, and the seed of the
+    # anchor state on the axis at the top seed
+    roots: list[FlowState] | None = None
+    anchor: Seed | None = None
 
     @property
     def smallness_pass(self) -> bool:
@@ -197,12 +200,16 @@ def zero_pole_seeds(p: Parameters, kind: LatticeKind, m_from: int, m_to: int) ->
     if kind is LatticeKind.ZERO:
         if tx * (t0 + tx - ti) == 0 or tx * (t0 - tx - ti) == 0:
             raise DegenerateParameterError("zero lattice needs thetax(theta0+-thetax-thetainf) != 0")
+        if s + 2.0 * t0 - ti == 0:
+            raise ResonanceError(f"rho0 is infinite at sigma = thetainf - 2 theta0 = {s}")
         rho = -4.0 / (s + 2.0 * t0 - ti)
         drift = -(s + 1.0)
     else:
         if t0 * (t0 - tx + ti) == 0 or t0 * (-t0 - tx + ti) == 0:
             raise DegenerateParameterError("pole lattice needs theta0(+-theta0-thetax+thetainf) != 0")
         rho = -(s - 2.0 * tx + ti) / 4.0
+        if rho == 0:
+            raise ResonanceError(f"rhoinf vanishes at sigma = 2 thetax - thetainf = {s}")
         drift = -(s - 1.0)
     level = abs(rho * c) if kind is LatticeKind.ZERO else 1.0 / abs(rho * c)
     log_rc = cmath.log(rho * c)
@@ -233,9 +240,11 @@ def _newton(s: FlowState, kind: LatticeKind) -> tuple[complex, complex]:
     return (n / d if d != 0 else math.inf), (-n * d / slope if slope != 0 else math.inf)
 
 
-def root_residual(s: FlowState, kind: LatticeKind) -> float:
-    """|y| (kind ZERO) or |1/y| (kind POLE) at the state."""
-    return abs(_newton(s, kind)[0])
+def root_check(s: FlowState, kind: LatticeKind) -> tuple[float, float]:
+    """The residual |y| (kind ZERO) or |1/y| (kind POLE) at the state, and
+    the root's error bar: the size of the Newton step from there."""
+    f, step = _newton(s, kind)
+    return abs(f), abs(step)
 
 
 def refine_root(
@@ -279,14 +288,14 @@ def refine_lattice(
     flow_tol: float = 1e-12,
 ) -> SeedLattice:
     """The seeds of ``zero_pole_seeds`` for m_from..m_to refined by
-    ``refine_root`` from the top down: the series is seeded once on the
-    axis at the top seed, and every root starts from the state at the
-    root above.  The returned lattice's ``roots`` holds the state at
-    each root, in seed order."""
+    ``refine_root`` from the top down: the anchor state comes from
+    ``flow.seed_state`` on the axis at the top seed, and every root starts
+    from the state at the root above.  The returned lattice's ``roots``
+    holds the state at each root, in seed order, and ``anchor`` the
+    anchor's seed."""
     lattice = zero_pole_seeds(p, kind, m_from, m_to)
-    top = 1j * lattice.seeds[-1][1].imag
-    radius = max(300.0, 2.0 * abs(top))
-    state = refine_from_series(p, radius, top, flow_tol, diagnostics=False).state
+    lattice.anchor = seed_state(p, 1j * lattice.seeds[-1][1].imag, flow_tol)
+    state = lattice.anchor.state
     roots = []
     for _, seed in reversed(lattice.seeds):
         state = refine_root(p, seed, kind, root_tol, state=state, flow_tol=flow_tol)

@@ -100,6 +100,16 @@ def test_zero_cx_lattice_exit_code():
     assert main([*P1_FLAGS, "--c0", "1", "--cx", "0", "zeros", "--no-refine"]) == 2
 
 
+def test_resonant_lattice_exit_code():
+    # rho0's denominator sigma + 2 theta0 - thetainf vanishes (zeros), and
+    # rhoinf = -(sigma - 2 thetax + thetainf)/4 vanishes (poles)
+    zeros = ["--theta0", "0.25", "--thetax", "0.16", "--thetainf", "0.5", "--sigma", "0"]
+    poles = ["--theta0", "0.3", "--thetax", "0.25", "--thetainf", "0", "--sigma", "0.5"]
+    for command, flags in (("zeros", zeros), ("poles", poles)):
+        argv = [command, *flags, "--c0", "1", "--cx", "0.7", "--no-refine"]
+        assert main(argv) == 2, command
+
+
 def test_braid_roundtrip(tmp_path):
     cfg = _write(tmp_path, P1_CFG)
     rc, doc = _run(tmp_path, ["--config", cfg, "braid", "--steps", "2"])
@@ -245,4 +255,11 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
     rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "10", "--m-to", "40"])
     assert rc == 0
     assert all(row["residual"] <= 1e-9 for row in doc["result"]["table"])
-    assert calls["nfev"] <= 45_000
+    assert all(0.0 < row["root_error"] <= 1e-5 for row in doc["result"]["table"])
+    # the degree-5 series is seeded at the top zero itself: no 2|top| -> top
+    # transport (33,764 field calls with it)
+    top = doc["result"]["table"][-1]["seed"][1]
+    anchor = doc["result"]["anchor"]
+    assert anchor["degree"] == 5 and anchor["seed_radius"] == top
+    assert 0.0 < anchor["seed_truncation"] <= 1e-10
+    assert calls["nfev"] <= 20_000

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from pviso.errors import OriginError, PathError, PvisoValueError
-from pviso.flow import FlowState, _flow_field, integrate, refine_from_series, rhs
+from pviso.flow import (
+    FlowState,
+    _flow_field,
+    _project_eigenvalue_constraints,
+    integrate,
+    refine_from_series,
+    rhs,
+)
 from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
 from pviso.series import Parameters, Truncation, series_A_pair
 
@@ -141,14 +148,15 @@ def test_flow_stays_bounded_on_axis():
 
 
 def test_refine_noop_at_seed():
-    res = refine_from_series(P1, 200.0, 200j, 1e-12, diagnostics=False, project=False)
+    # at the seed point the state is the projected series pair, which
+    # moves only within the det-defect ball
+    res = refine_from_series(P1, 200.0, 200j, 1e-12, diagnostics=False)
     ab = series_A_pair(P1, 200j)
-    assert mat_norm(res.state.A0 - ab.A0) == 0.0
-    # with the projection the state moves only within the det-defect ball
-    proj = refine_from_series(P1, 200.0, 200j, 1e-12, diagnostics=False)
-    defect = abs(det2(proj.state.A0) + P1.theta0**2 / 4.0)
+    assert mat_norm(res.state.A0 - _project_eigenvalue_constraints(ab.A0, P1.theta0)) == 0.0
+    assert mat_norm(res.state.Ax - _project_eigenvalue_constraints(ab.Ax, P1.thetax)) == 0.0
+    defect = abs(det2(res.state.A0) + P1.theta0**2 / 4.0)
     assert defect < 1e-14
-    assert mat_norm(proj.state.A0 - ab.A0) < 1e-6
+    assert mat_norm(res.state.A0 - ab.A0) < 1e-6
 
 
 def test_refine_zero_solution():

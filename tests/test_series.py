@@ -16,7 +16,7 @@ from pviso.series import (
     series_A_pair,
     series_A_pair_degenerate,
 )
-from pviso.series import _L2_COEF_BASIS, _L2_PLAN, _L2_TERMS, _l2_coefficients
+from pviso.series import _l2_coefficients, _l2_plan, _monomials, _terms, series_seed
 from pviso.linalg import eigvals2
 
 P1 = Parameters(
@@ -141,7 +141,7 @@ def test_derived_coefficients_reproduce_printed():
         )
         for _ in range(5)
     ]
-    col = {t: i for i, t in enumerate(_L2_TERMS)}
+    col = {t: i for i, t in enumerate(_terms(3))}
     for p in params:
         derived = _l2_coefficients(p)
         printed = _printed_coefficients(p)
@@ -157,15 +157,16 @@ def test_derived_coefficients_reproduce_printed():
 def test_compiled_solve_matches_plan_loop():
     # reference: step through the plan one term at a time, in the order the
     # compiled solver must follow, so the two agree exactly
-    nt = len(_L2_TERMS)
+    nt = len(_terms(3))
+    plan, coef_basis = _l2_plan(3)
     for p in (P1, P1.replace(sigma=-0.3 + 0.2j, cx=1.3 - 0.4j)):
         g = gamma_quad(p)
         s, ti = p.sigma, p.thetainf
         a, b = (s + ti) / 2.0, (s - ti) / 2.0
-        coef = [q * s + r + u * a + v * b for q, r, u, v in _L2_COEF_BASIS]
+        coef = [q * s + r + u * a + v * b for q, r, u, v in coef_basis]
         c = [0j] * (5 * nt)
         c[nt], c[2 * nt], c[3 * nt], c[4 * nt] = g.g0p, g.gxp, g.g0m, g.gxm
-        for target, divisor, linear, bilinear in _L2_PLAN:
+        for target, divisor, linear, bilinear in plan:
             acc = 0j
             for i, j in linear:
                 acc += coef[i] * c[j]
@@ -176,6 +177,42 @@ def test_compiled_solve_matches_plan_loop():
                 acc += w * part
             c[target] = acc / divisor
         assert np.array_equal(_l2_coefficients(p), np.reshape(c, (5, nt)))
+
+
+def test_degree5_solve_extends_degree3_bit_for_bit():
+    # the degree-5 solve repeats the degree-3 arithmetic for the first 16
+    # terms, in the same order, before it adds degrees 4 and 5
+    for p in (P1, P1.replace(sigma=-0.3 + 0.2j, cx=1.3 - 0.4j)):
+        five = _l2_coefficients(p, 5)
+        assert five.shape == (5, 36)
+        assert np.array_equal(five[:, :16], _l2_coefficients(p))
+        assert np.count_nonzero(five[:, 16:]) > 0
+
+
+def test_generated_basis_matches_written_out_degree3():
+    ep, em, ix = 0.03 - 0.04j, 0.02 + 0.01j, -0.004j
+    ix2, ep2, em2 = ix * ix, ep * ep, em * em
+    written_out = np.array(
+        [
+            1.0,
+            em, ix, ep,
+            em2, em * ix, ix2, ep * ix, ep2,
+            em2 * em, em2 * ix, em * ix2, ix2 * ix, ep * ix2, ep2 * ix, ep2 * ep,
+        ]
+    )
+    assert np.array_equal(_monomials(3)(ep, em, ix), written_out)
+
+
+def test_series_seed_truncation_is_last_degree():
+    # degree 3: series_seed is the L2 pair, and its truncation estimate is
+    # the gap to the same sum without the degree-3 terms
+    A0, Ax, trunc = series_seed(P1, 250j, 3)
+    ab = series_A_pair(P1, 250j)
+    assert np.array_equal(A0, ab.A0) and np.array_equal(Ax, ab.Ax)
+    B0, Bx, _ = series_seed(P1, 250j, 2)
+    assert abs(trunc - max(mat_norm(A0 - B0), mat_norm(Ax - Bx))) <= 1e-6 * trunc
+    # the estimate falls with the degree at a fixed point
+    assert series_seed(P1, 250j, 5)[2] < trunc / 100.0
 
 
 def test_truncation_by_name():

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import ConvergenceError, DegenerateParameterError, PvisoValueError
-from pviso.flow import FlowState, integrate, refine_from_series
-from pviso.series import Parameters, smallness_score
+from pviso.errors import ConvergenceError, DegenerateParameterError, PvisoValueError, ResonanceError
+from pviso.flow import SEED_DEGREE, FlowState, integrate, refine_from_series, seed_state
+from pviso.linalg import mat_norm
+from pviso.series import Parameters, series_seed, smallness_score
 from pviso.transcendents import (
     DegenerateBranch,
     _newton,
     LatticeKind,
+    root_check,
     backlund_pi,
     pv_residual,
     refine_lattice,
@@ -202,6 +204,49 @@ def test_seed_m_range_guard():
         zero_pole_seeds(PZ, LatticeKind.ZERO, 0, 5)
 
 
+def test_resonant_lattice_rejected():
+    # rho0 = -4/(sigma + 2 theta0 - thetainf) is infinite, rhoinf is 0
+    zeros = Parameters(theta0=0.25, thetax=0.16, thetainf=0.5, c0=1.0, cx=0.7, sigma=0.0)
+    with pytest.raises(ResonanceError):
+        zero_pole_seeds(zeros, LatticeKind.ZERO, 10, 12)
+    poles = Parameters(theta0=0.3, thetax=0.25, thetainf=0.0, c0=1.0, cx=0.7, sigma=0.5)
+    with pytest.raises(ResonanceError):
+        zero_pole_seeds(poles, LatticeKind.POLE, 10, 12)
+
+
+def _anchor_error(p, kind, m_to):
+    """The anchor of the lattice m = 10..m_to, and its distance from a
+    degree-10 series at the top point."""
+    top = 1j * zero_pole_seeds(p, kind, 10, m_to).seeds[-1][1].imag
+    anchor = seed_state(p, top)
+    A0, Ax, _ = series_seed(p, top, 10)
+    return top, anchor, max(mat_norm(anchor.state.A0 - A0), mat_norm(anchor.state.Ax - Ax))
+
+
+@pytest.mark.parametrize("p, kind", [(PZ, LatticeKind.ZERO), (P8P, LatticeKind.POLE)])
+def test_anchor_seeded_at_top(p, kind):
+    # criterion 8's lattices: the degree-5 series is accurate enough at the
+    # top point itself, so the anchor needs no transport
+    top, anchor, err = _anchor_error(p, kind, 40)
+    assert anchor.seed_radius == abs(top) and anchor.state.x == top
+    assert anchor.degree == SEED_DEGREE
+    assert err <= 1e-11
+    assert anchor.seed_truncation >= err
+
+
+def test_anchor_falls_back_above_top():
+    # P8P's top pole at m = 12 sits near 76i, where the degree-5 terms
+    # exceed the drift budget: the seed moves up and is transported down
+    top, anchor, err = _anchor_error(P8P, LatticeKind.POLE, 12)
+    assert abs(top) < anchor.seed_radius <= max(300.0, 2.0 * abs(top))
+    assert err <= 1e-10
+    assert anchor.seed_truncation >= err
+    # the degree-3 route from 300i is itself 2.6e-9 off the degree-10
+    # series here, so it is compared seeded four times as high (5.7e-11)
+    today = refine_from_series(P8P, 1200.0, top, 1e-12, diagnostics=False).state
+    assert max(mat_norm(anchor.state.A0 - today.A0), mat_norm(anchor.state.Ax - today.Ax)) <= 1e-9
+
+
 def test_smallness_heuristic_recorded():
     # the lattice records score and strip level; the heuristic passes when
     # their product is <= 0.5, which takes a small |c| and large |c0|
@@ -239,6 +284,19 @@ def test_refine_root_zeros(zero_lattice_state):
         assert abs(yzu_from_matrices(st).y) <= 1e-9
         e = abs(root - seed)
         assert e * m / math.log(m) < 1.0
+
+
+def test_root_error_is_distance_to_polished_root():
+    # root_check's error bar is the Newton step at the returned state; two
+    # more steps from there move the root by that much
+    lat = refine_lattice(PZ, LatticeKind.ZERO, 10, 11, root_tol=1e-9)
+    for st in lat.roots:
+        residual, err = root_check(st, LatticeKind.ZERO)
+        assert residual <= 1e-9
+        polished = st
+        for _ in range(2):
+            polished = integrate(polished, polished.x + _newton(polished, LatticeKind.ZERO)[1])
+        assert abs(abs(polished.x - st.x) - err) <= 0.01 * err
 
 
 @pytest.mark.parametrize("p, kind", [(PZ, LatticeKind.ZERO), (P8P, LatticeKind.POLE)])
