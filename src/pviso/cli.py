@@ -68,6 +68,11 @@ def _monodromy_to_wire(md: monodata.MonodromyData) -> dict:
     }
 
 
+def _diagnostics_to_wire(md: monodata.MonodromyData) -> dict:
+    """The plain-number diagnostics of a numeric monodromy."""
+    return {k: v for k, v in md.diagnostics.items() if isinstance(v, (int, float, bool))}
+
+
 _PARAM_KEYS = ("theta0", "thetax", "thetainf", "c0", "cx", "sigma")
 
 
@@ -150,9 +155,7 @@ def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
         "closed_form": _monodromy_to_wire(md_cf),
         "max_entry_diff": diff,
         "seed_doubling_diagnostic": refined.diagnostic,
-        "diagnostics": {
-            k: v for k, v in md_num.diagnostics.items() if isinstance(v, (int, float, bool))
-        },
+        "diagnostics": _diagnostics_to_wire(md_num),
     }, None
 
 
@@ -354,6 +357,7 @@ def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
         "monodromy": _monodromy_to_wire(md),
+        "monodromy_diagnostics": _diagnostics_to_wire(md),
     }, None
 
 

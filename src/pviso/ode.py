@@ -23,6 +23,17 @@ length.  The independent variable is a real path parameter (arc length
 along the segments used by the callers).  Deterministic: no randomness,
 fixed evaluation order.
 
+Batches: each state component may instead be an equal-length 1-D
+complex array (``y0`` an (n, B) array or a sequence of n such arrays).
+That is B independent systems stepped in lockstep with one shared h:
+the same stage sums run on arrays, ``f`` receives and returns n arrays
+of length B, and each member gets its own error norm as above.  A step
+is accepted only when the largest member norm is at most 1, and the
+controller steers on that largest norm, so every member meets at least
+the tolerance it would meet alone, at the price of the steps of the
+hardest one.  Only the scale and that reduction depend on the state
+type; the scalar path is unchanged.
+
 The entry point keeps the name ``integrate_rk54`` from the 5(4) pair it
 replaced: the benchmark's tracer wraps the kernel under that name to
 count f-evals, so renaming it is a change to the benchmark.
@@ -148,11 +159,20 @@ BHH = (
 )
 
 
+def _largest_member_norm(h: float, acc5: np.ndarray, denom: np.ndarray, n: int) -> float:
+    """Largest of the batch members' combined norms; a member whose
+    error estimates are both zero counts 0, as in the scalar path."""
+    live = denom > 0.0
+    if not live.any():
+        return 0.0
+    return float(np.max(h * acc5[live] / np.sqrt(denom[live] * n)))
+
+
 def integrate_rk54(
-    f: Callable[[float, list[complex]], Sequence[complex]],
+    f: Callable[[float, list], Sequence],
     t0: float,
     t1: float,
-    y0: Sequence[complex],
+    y0: Sequence[complex] | Sequence[np.ndarray],
     tol: float,
     *,
     max_step: float = 0.5,
@@ -161,15 +181,19 @@ def integrate_rk54(
     local error per step controlled at ``tol`` (mixed absolute/relative
     scale, Hairer's combined 5th/3rd-order norm).
 
-    Returns the state at t1 as a 1-D complex array.
+    Returns the state at t1 as an (n,) complex array, or (n, B) for a
+    batch of B members.
     """
     span = t1 - t0
     if span < 0:
         raise ValueError("integrate_rk54 expects t1 >= t0")
-    y = np.asarray(y0, dtype=complex).ravel().tolist()
+    y = np.asarray(y0, dtype=complex)
+    batch = y.ndim == 2
+    y = list(y) if batch else y.ravel().tolist()
     if span == 0.0:
         return np.array(y, dtype=complex)
     n = len(y)
+    larger = np.maximum if batch else max
     t = t0
     h = min(max_step, span, 0.1)
     h_floor = 1e-13 * max(1.0, span)
@@ -260,7 +284,7 @@ def integrate_rk54(
             inc = b1 * p + b6 * v + b7 * w + b8 * z + b9 * g + b10 * m + b11 * q + b12 * r
             x_ = y_ + h * inc
             y_new.append(x_)
-            sc = tol + tol * max(abs(y_), abs(x_))
+            sc = tol + tol * larger(abs(y_), abs(x_))
             err5 = abs(
                 e1 * p + e6 * v + e7 * w + e8 * z + e9 * g + e10 * m + e11 * q + e12 * r
             ) / sc
@@ -268,7 +292,10 @@ def integrate_rk54(
             acc5 += err5 * err5
             acc3 += err3 * err3
         denom = acc5 + 0.01 * acc3
-        err = h * acc5 / (denom * n) ** 0.5 if denom > 0.0 else 0.0
+        if batch:
+            err = _largest_member_norm(h, acc5, denom, n)
+        else:
+            err = h * acc5 / (denom * n) ** 0.5 if denom > 0.0 else 0.0
         if err <= 1.0:
             t += h
             y = y_new

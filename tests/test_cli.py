@@ -62,6 +62,8 @@ def test_verify_zero_parameters_all_pass(tmp_path):
     assert abs(m0[0][0][0] - 1.0) < 1e-9 and abs(m0[0][1][0]) < 1e-9
     mx = doc["result"]["monodromy"]["Mx"]
     assert abs(mx[1][1][0] - 1.0) < 1e-9
+    diagnostics = doc["result"]["monodromy_diagnostics"]
+    assert 0.0 <= diagnostics["frame_error"] <= diagnostics["radius_doubling_change"]
 
 
 def test_zeros_table_seed_column(tmp_path):

@@ -114,6 +114,19 @@ def test_linear_field_matches_matrix_formula(state40):
             ref = ((C @ Z) * v).ravel()
             got = np.array(f(t, Z.ravel().tolist()))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # the batched field of a line's sub-segments, one member per start
+    line = pieces[0]
+    starts = line.start + line.direction * np.array([0.0, 2.0, 57.5, 157.0])
+    f = _linear_field(state40, line, starts)
+    for t in (0.0, 0.7, 2.0):
+        got = np.array(f(t, [np.full(starts.size, zij) for zij in Z.ravel()]))
+        assert got.shape == (4, starts.size)
+        for b, start in enumerate(starts):
+            lam, v = start + t * line.direction, line.direction
+            B = state40.A0 / lam + state40.Ax / (lam - state40.x)
+            C = exp_J(-lam / 2.0) @ B @ exp_J(lam / 2.0)
+            ref = ((C @ Z) * v).ravel()
+            assert np.max(np.abs(got[:, b] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_interaction_picture_transfer_matches_plain_field(state40):
@@ -131,6 +144,7 @@ def test_interaction_picture_transfer_matches_plain_field(state40):
     half = math.pi / 2.0
     pieces = (
         Line(200j, 41j),
+        Line(45j + 2.0, 41j - 1.0),
         Arc(40j, 1.0, half, half + 2.0 * math.pi),
         Arc(0.0, 1.0, -half, 3.0 * half),
     )
@@ -140,24 +154,31 @@ def test_interaction_picture_transfer_matches_plain_field(state40):
         assert mat_norm(got - ref) <= 1e-11
 
 
+def test_zero_length_line_is_identity(state40):
+    assert np.array_equal(_transfer(state40, [Line(50j, 50j)], 1e-12), I2)
+
+
 def test_monodromy_feval_budget(state40, monkeypatch):
     # the 2R pass reuses the R pass's circles and lower descents, so only
-    # six pieces are integrated
-    calls = {"transfers": 0, "nfev": 0}
+    # six pieces are integrated; each line's sub-segments are one batch,
+    # so a field call evaluates many members
+    calls = {"transfers": 0, "nfev": 0, "members": 0}
 
     def counting(f, *args, **kwargs):
         calls["transfers"] += 1
 
-        def g(*a):
+        def g(t, z):
             calls["nfev"] += 1
-            return f(*a)
+            calls["members"] += np.size(z[0])
+            return f(t, z)
 
         return integrate_rk54(g, *args, **kwargs)
 
     monkeypatch.setattr(monodromy_module, "integrate_rk54", counting)
     monodromy(state40, 1e-12, R=200.0)
     assert calls["transfers"] == 6
-    assert calls["nfev"] <= 25_000
+    assert calls["nfev"] <= 2_500
+    assert calls["members"] <= 60_000
 
 
 def test_continue_along_zero_state_loop_closes():
@@ -220,7 +241,12 @@ def test_monodromy_matches_closed_form_smoke(state40):
 
 def test_radius_doubling_changes_little(state40):
     md = monodromy(state40, 1e-12)
-    assert md.diagnostics["radius_doubling_change"] <= 1e-5
+    change = md.diagnostics["radius_doubling_change"]
+    assert change <= 1e-5
+    # the frame error is the Richardson step's correction to the 2R pass
+    frame_error = md.diagnostics["frame_error"]
+    assert type(frame_error) is float
+    assert frame_error == change / (2.0 ** (monodromy_module.FRAME_ORDERS + 1) - 1.0)
 
 
 def test_homotopy_invariance_of_pieces(state40):

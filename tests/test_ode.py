@@ -108,4 +108,36 @@ def test_feval_budget_on_rotation():
     f, calls = _counted(_rotation)
     out = integrate_rk54(f, 0.0, 10.0, [1.0], 1e-12)
     assert abs(out[0] - cmath.exp(10j)) <= 1e-11
-    assert len(calls) <= 1000
+    assert len(calls) == 637
+
+
+def _rotations(omega):
+    # two rotations, at rates omega and -omega/2; an array omega makes
+    # one batch member per rate
+    def f(t, y):
+        return [1j * omega * y[0], -0.5j * omega * y[1]]
+
+    return f
+
+
+def test_batch_matches_scalar_runs():
+    tol = 1e-12
+    omega = np.array([0.3, 1.0, 2.5, 4.0])
+    y0 = [np.ones(4, dtype=complex), np.full(4, 0.5 - 0.25j)]
+    out = integrate_rk54(_rotations(omega), 0.0, 6.0, y0, tol)
+    assert out.shape == (2, 4) and out.dtype == complex
+    for b, w in enumerate(omega):
+        ref = integrate_rk54(_rotations(w), 0.0, 6.0, [1.0, 0.5 - 0.25j], tol)
+        assert np.max(np.abs(out[:, b] - ref)) <= 10.0 * tol
+
+
+def test_batch_steps_with_its_hardest_member():
+    # one shared h: the slow member is stepped at the fast member's pace
+    tol = 1e-12
+    fast, calls_fast = _counted(_rotations(8.0))
+    integrate_rk54(fast, 0.0, 5.0, [1.0, 1.0], tol)
+    both, calls_both = _counted(_rotations(np.array([0.1, 8.0])))
+    out = integrate_rk54(both, 0.0, 5.0, np.ones((2, 2), dtype=complex), tol)
+    assert len(calls_both) >= len(calls_fast)
+    assert abs(out[0, 0] - cmath.exp(0.5j)) <= 1e-11
+    assert abs(out[0, 1] - cmath.exp(40j)) <= 1e-10
