@@ -1,9 +1,11 @@
 """Batch front end: parse a parameter config, run one computation, emit a
 machine-readable JSON document (and optionally CSV rows for plotting).
 
-Exit codes: 0 success, 2 config parse error, 3 numerical failure,
-4 invariant violation.  Identical configs produce identical output
-bytes: all algorithms are deterministic with fixed iteration order.
+Exit codes: 0 success, 2 config parse error, 3 numerical failure
+(an arithmetic overflow, or a result holding a NaN or infinity, which
+strict JSON cannot write, among them), 4 invariant violation.
+Identical configs produce identical output bytes: all algorithms are
+deterministic with fixed iteration order.
 """
 
 from __future__ import annotations
@@ -446,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except PvisoValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PvisoNumericalError as exc:
+    except (PvisoNumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -455,7 +457,12 @@ def main(argv: list[str] | None = None) -> int:
         "parameters": _params_to_wire(p),
         "result": result,
     }
-    payload = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        # a NaN or infinity has no strict-JSON token: nothing is written
+        payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

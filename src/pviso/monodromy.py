@@ -35,9 +35,11 @@ Mx M0 = S1^-1 e^(-pi i thetainf J) S2^-1 forces
 a linear solve; s1 then reads off the (2,1) entry and the diagonal
 entries provide a two-sided internal consistency check.  The frame has
 FRAME_ORDERS = 16 terms, whose coefficients are computed once per call.
-The remaining frame truncation error scales like R^-(FRAME_ORDERS+1) and
-is reduced further by Richardson extrapolation over R and 2R with that
-exponent: (2^(FRAME_ORDERS+1) M(2R) - M(R)) / (2^(FRAME_ORDERS+1) - 1).
+They fall geometrically, by a ratio of about |x|/R <= 1/4 under the
+RadiusError rule, so the first omitted term |G_17|/R^17 names the frame
+truncation error (``frame_truncation``; 9.2e-15 for the criterion-1
+state at R = 200, below the transport error).  One pass at R is
+therefore the whole computation.
 
 Every transfer is integrated in the interaction picture Y = e^(lambda J/2) Z
 (the substitution of exponential integrators; Hochbruck & Ostermann,
@@ -61,15 +63,12 @@ of them are stepped as one lockstep batch through the one kernel (the
 parallel-in-time property of linear propagators; Gander, "50 years of
 time parallel time integration", 2015), at the line's tolerance.  The
 kernel's Python bookkeeping is then paid once per batched step rather
-than once per member: at R = 200 plus 2R, 1,486 field calls (50,530
-member evaluations) replace 21,427 scalar ones.  The unit circles stay
-single systems.
+than once per member: at R = 200 the four transfers take 1,352 field
+calls (37,130 member evaluations).  The unit circles stay single
+systems.
 
-A loop's transfer is P^-1 C P, with P the product of the descent's
-per-piece transfers and C the circle's.  Within one monodromy() call the
-pieces are kept: the 2R pass descends along [2iR -> iR, iR -> x + i] and
-[-2iR -> -iR, -iR -> -i] and shares the unit circles, so it integrates
-only the two new axis segments of length R.
+A loop's transfer is P^-1 C P, with P the transfer down the descent, a
+single Line, and C the circle's.
 """
 
 from __future__ import annotations
@@ -113,7 +112,8 @@ __all__ = [
     "MonodromyData",
 ]
 
-# asymptotic frame orders of monodromy(); the Richardson exponent is one more
+# asymptotic frame orders of monodromy(); the first omitted one is its
+# frame_truncation diagnostic
 FRAME_ORDERS = 16
 # bound on the diagonal defect of Nx S2 N0 and on the Stokes trace identity
 CONSISTENCY_TOL = 1e-6
@@ -179,32 +179,27 @@ class Loop:
     circle: Arc
 
 
-def _axis_loop(unit: complex, R: float, R0: float | None, entry: complex, circle: Arc,
-               other: complex) -> Loop:
+def _axis_loop(unit: complex, R: float, entry: complex, circle: Arc, other: complex) -> Loop:
     """Descent from unit*R along the imaginary axis to ``entry`` on the
-    circle, split at unit*R0 when R0 < R."""
-    R0 = R if R0 is None else R0
-    descent = (Line(unit * R0, entry),)
-    if R0 < R:
-        descent = (Line(unit * R, unit * R0), *descent)
+    circle."""
     # a descend-circle-return loop winds once about the points inside its
     # circle and never about those outside
     if abs(other - circle.center) <= circle.radius:
         raise PathError(f"loop about {circle.center} also encloses {other}")
-    return Loop(descent, circle)
+    return Loop((Line(unit * R, entry),), circle)
 
 
-def loop_around_x(x: complex, R: float, R0: float | None = None) -> Loop:
+def loop_around_x(x: complex, R: float) -> Loop:
     """Base iR, descent to x + i, unit circle about x."""
     half = math.pi / 2.0
-    return _axis_loop(1j, R, R0, x + 1j, Arc(x, 1.0, half, half + 2.0 * math.pi), 0.0)
+    return _axis_loop(1j, R, x + 1j, Arc(x, 1.0, half, half + 2.0 * math.pi), 0.0)
 
 
-def loop_around_origin(x: complex, R: float, R0: float | None = None) -> Loop:
+def loop_around_origin(x: complex, R: float) -> Loop:
     """Base -iR (on the continued branch), descent to -i, unit circle
     about 0."""
     half = math.pi / 2.0
-    return _axis_loop(-1j, R, R0, -1j, Arc(0.0, 1.0, -half, 3.0 * half), x)
+    return _axis_loop(-1j, R, -1j, Arc(0.0, 1.0, -half, 3.0 * half), x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +261,8 @@ def normalized_frame(
     ``coefficients``, and ``orders`` is then their number.
 
     The default is the first correction; monodromy() takes FRAME_ORDERS
-    terms at arg pi/2 (base iR) and 3pi/2 (base -iR), computed once.
+    terms at arg pi/2 (base iR) and 3pi/2 (base -iR), computed once
+    together with the first omitted one.
     """
     if R < 4.0 * (abs(s.x) + 10.0):
         raise RadiusError(f"normalization radius {R} < 4(|x|+10)")
@@ -395,41 +391,26 @@ def _piece_transfer(s: FlowState, piece: Piece, tol: float) -> np.ndarray:
     return W[-1]
 
 
-def _transfer(
-    s: FlowState,
-    pieces: Sequence[Piece],
-    tol: float,
-    cache: dict[Piece, np.ndarray] | None = None,
-) -> np.ndarray:
+def _transfer(s: FlowState, pieces: Sequence[Piece], tol: float) -> np.ndarray:
     """Transfer matrix along the concatenated pieces, the product of the
-    per-piece transfers.  A piece found in ``cache`` is not integrated
-    again; the caller owns the cache and keeps it to one state and tol.
+    per-piece transfers.
 
     The determinant drift must stay within 100*tol*max(1, |W|^2), and a
     partial product with |W| > _MAX_TRANSFER_NORM is rejected at once."""
-    if cache is None:
-        cache = {}
     W = np.array(I2, dtype=complex)
     for piece in pieces:
-        if piece not in cache:
-            cache[piece] = _piece_transfer(s, piece, tol)
-        W = _capped(cache[piece] @ W, piece)
+        W = _capped(_piece_transfer(s, piece, tol) @ W, piece)
     drift = abs(det2(W) - 1.0)
     if drift > 100.0 * tol * max(1.0, mat_norm(W) ** 2):
         raise ConsistencyError(f"transfer determinant drifted by {drift:.3e}")
     return W
 
 
-def _loop_transfer(
-    s: FlowState,
-    loop: Loop,
-    tol: float,
-    cache: dict[Piece, np.ndarray] | None = None,
-) -> np.ndarray:
+def _loop_transfer(s: FlowState, loop: Loop, tol: float) -> np.ndarray:
     """P^-1 C P, with P the transfer down the loop's descent and C the
     transfer once around its circle."""
-    P = _transfer(s, loop.descent, tol, cache)
-    C = _transfer(s, [loop.circle], tol, cache)
+    P = _transfer(s, loop.descent, tol)
+    C = _transfer(s, [loop.circle], tol)
     return mat_inv(P) @ C @ P
 
 
@@ -452,26 +433,27 @@ def continue_along(s: FlowState, Y0: np.ndarray, loop: Loop, tol: float = 1e-12)
     return _loop_transfer(s, loop, tol) @ np.array(Y0, dtype=complex)
 
 
-def _monodromy_single_radius(
-    s: FlowState,
-    R: float,
-    R0: float,
-    tol: float,
-    cache: dict[Piece, np.ndarray],
-    frame: Sequence[np.ndarray],
-):
-    """Monodromy data from the frames at radius R, built from the
-    coefficients ``frame``.  Both descents are split at radius R0 <= R,
-    so a pass at 2*R0 integrates only the two new axis segments beyond R0
-    and takes the rest from ``cache``."""
+def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> MonodromyData:
+    """Monodromy data of the state by continuation around the two loops,
+    with the frames at radius R.
+
+    R defaults to 4(|x|+10).  A state with |x| <= 1, where the unit
+    circles about 0 and x overlap, raises PathError.
+
+    Diagnostics: ``consistency_defect`` is the diagonal defect of
+    Nx S2 N0, and ``frame_truncation`` the first omitted frame term
+    |G_(FRAME_ORDERS+1)| / R^(FRAME_ORDERS+1).
+    """
+    R = float(R) if R is not None else 4.0 * (abs(s.x) + 10.0)
     x, ti = s.x, s.params.thetainf
     half = math.pi / 2.0
+    *frame, omitted = frame_coefficients(s, FRAME_ORDERS + 1)
 
-    loop_x, loop_0 = loop_around_x(x, R, R0), loop_around_origin(x, R, R0)
+    loop_x, loop_0 = loop_around_x(x, R), loop_around_origin(x, R)
     frame_top = normalized_frame(s, R, arg_lambda=half, coefficients=frame)
     frame_bot = normalized_frame(s, R, arg_lambda=3.0 * half, coefficients=frame)
-    Nx = mat_inv(frame_top) @ _loop_transfer(s, loop_x, tol, cache) @ frame_top
-    N0 = mat_inv(frame_bot) @ _loop_transfer(s, loop_0, tol, cache) @ frame_bot
+    Nx = mat_inv(frame_top) @ _loop_transfer(s, loop_x, tol) @ frame_top
+    N0 = mat_inv(frame_bot) @ _loop_transfer(s, loop_0, tol) @ frame_bot
 
     denom = Nx[0, 0] * N0[1, 1]
     if abs(denom) < 1e-12:
@@ -490,51 +472,18 @@ def _monodromy_single_radius(
         raise ConsistencyError(
             f"monodromy internal consistency failed: diagonal defect {defect:.3e}"
         )
-    s1 = -phase * L[1, 0]
-    return M0, Mx, s1, s2, defect
-
-
-def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> MonodromyData:
-    """Monodromy data of the state by continuation around the two loops.
-
-    R defaults to 4(|x|+10).  The computation runs at R and 2R and
-    extrapolates the matrices entrywise for an error that scales like
-    R^-(FRAME_ORDERS+1).  The two passes share every transfer but the
-    two axis segments between R and 2R.  A state with |x| <= 1, where
-    the unit circles about 0 and x overlap, raises PathError.
-
-    Diagnostics: ``radius_doubling_change`` is the R-vs-2R change
-    max |M(2R) - M(R)| over M0 and Mx, and ``frame_error`` that change
-    over 2^(FRAME_ORDERS+1) - 1, the Richardson step's correction to the
-    2R pass: the frame truncation error estimated from the change.
-    """
-    R0 = float(R) if R is not None else 4.0 * (abs(s.x) + 10.0)
-    cache: dict[Piece, np.ndarray] = {}
-    frame = frame_coefficients(s, FRAME_ORDERS)
-    M0a, Mxa, s1a, s2a, defa = _monodromy_single_radius(s, R0, R0, tol, cache, frame)
-    M0b, Mxb, s1b, s2b, defb = _monodromy_single_radius(s, 2.0 * R0, R0, tol, cache, frame)
-    # the frame error falls like R^-(FRAME_ORDERS+1)
-    q = 2.0 ** (FRAME_ORDERS + 1)
-    M0 = (q * M0b - M0a) / (q - 1.0)
-    Mx = (q * Mxb - Mxa) / (q - 1.0)
-    change = max(mat_norm(M0b - M0a), mat_norm(Mxb - Mxa))
-    md = MonodromyData.from_pair(M0, Mx, s.params.thetainf)
+    md = MonodromyData.from_pair(M0, Mx, ti)
     md.diagnostics.update(
         {
-            "R": R0,
-            "consistency_defect": max(defa, defb),
-            "richardson": True,
-            "radius_doubling_change": change,
-            "frame_error": change / (q - 1.0),
+            "R": R,
+            "consistency_defect": float(defect),
+            "frame_truncation": mat_norm(omitted) / R ** (FRAME_ORDERS + 1),
         }
     )
-    # trace identity on the extrapolated product
+    # trace identity on the recomposed data
     prod = md.Mx @ md.M0
-    phase = cmath.exp(-1j * math.pi * s.params.thetainf)
     lhs = prod[0, 0] + prod[1, 1]
-    rhs = 2.0 * cmath.cos(math.pi * s.params.thetainf) + phase * md.s1 * md.s2
+    rhs = 2.0 * cmath.cos(math.pi * ti) + md.s1 * md.s2 / phase
     if abs(lhs - rhs) > CONSISTENCY_TOL:
-        raise ConsistencyError(
-            f"Stokes trace identity defect {abs(lhs - rhs):.3e} after extrapolation"
-        )
+        raise ConsistencyError(f"Stokes trace identity defect {abs(lhs - rhs):.3e}")
     return md

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
+    PvisoNumericalError,
     PvisoValueError,
     ResonanceError,
     StencilError,
@@ -211,6 +212,8 @@ def zero_pole_seeds(p: Parameters, kind: LatticeKind, m_from: int, m_to: int) ->
         if rho == 0:
             raise ResonanceError(f"rhoinf vanishes at sigma = 2 thetax - thetainf = {s}")
         drift = -(s - 1.0)
+    if rho * c == 0:
+        raise PvisoNumericalError(f"rho c underflows to 0 at rho = {rho}, c = {c}")
     level = abs(rho * c) if kind is LatticeKind.ZERO else 1.0 / abs(rho * c)
     log_rc = cmath.log(rho * c)
     seeds = []

@@ -76,8 +76,8 @@ def mdcf():
 
 
 def test_criterion_01_monodromy_cross_validation(mdcf):
-    """Seed at 400i, flow to 40i (tol 1e-12), monodromy with R = 200 plus
-    Richardson over 2R; every entry within 1e-6 of the closed form,
+    """Seed at 400i, flow to 40i (tol 1e-12), monodromy in one pass at
+    R = 200; every entry within 1e-6 of the closed form,
     under 60 s single-threaded.  With the degree-3 seed it reads about
     5e-11, the error of the 40i state; the printed-only L1 seed gives
     1.8e-6."""

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import warnings
+
+import pytest
 
 from pviso import flow
 from pviso.cli import main
@@ -63,7 +68,8 @@ def test_verify_zero_parameters_all_pass(tmp_path):
     mx = doc["result"]["monodromy"]["Mx"]
     assert abs(mx[1][1][0] - 1.0) < 1e-9
     diagnostics = doc["result"]["monodromy_diagnostics"]
-    assert 0.0 <= diagnostics["frame_error"] <= diagnostics["radius_doubling_change"]
+    assert set(diagnostics) == {"R", "consistency_defect", "frame_truncation"}
+    assert diagnostics["frame_truncation"] == 0.0
 
 
 def test_zeros_table_seed_column(tmp_path):
@@ -265,3 +271,73 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
     assert anchor["degree"] == 5 and anchor["seed_radius"] == top
     assert 0.0 < anchor["seed_truncation"] <= 1e-10
     assert calls["nfev"] <= 20_000
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_braid_exit_code(tmp_path, capsys):
+    # c0 = 1e300 overflows the shifted matrices to inf and nan, which
+    # have no strict-JSON form: exit 3 and no output
+    cfg = _write(tmp_path, P1_CFG)
+    rc, doc = _run(tmp_path, ["--config", cfg, "--c0", "1e300", "braid"])
+    assert rc == 3 and doc is None
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_lattice_float_range_exit_code(tmp_path):
+    # c0 = 1e300 makes the smallness score infinite; cx/c0 = 1e-400
+    # underflows to 0, whose log no seed can take
+    cfg = _write(tmp_path, P1_CFG)
+    for command, flags in (
+        ("zeros", ["--c0", "1e300"]),
+        ("zeros", ["--c0", "1e200", "--cx", "1e-200"]),
+        ("poles", ["--c0", "1e200", "--cx", "1e-200"]),
+    ):
+        rc, doc = _run(tmp_path, ["--config", cfg, command, "--no-refine", *flags])
+        assert rc == 3 and doc is None, (command, flags)
+
+
+def test_overflow_exit_code(tmp_path, capsys):
+    # the closed form at theta0 = 200 or 300 overflows a float
+    for theta0 in ("200", "300"):
+        rc, doc = _run(tmp_path, [*P1_FLAGS, "--c0", "1", "--theta0", theta0, "braid"])
+        assert rc == 3 and doc is None
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cheap_commands_exit_code_contract():
+    # any complex parameters, over many magnitudes: braid and the
+    # unrefined lattices exit 0, 2, 3 or 4, and on 0 print strict JSON
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # each real and imaginary part is a mantissa times 10^e, with e = 0
+    # about three times in four, so about a third of the runs succeed
+    exponents = (0,) * 120 + tuple(range(-300, 301, 15))
+    parts = st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12)
+    scales = st.lists(st.sampled_from(exponents), min_size=12, max_size=12)
+    commands = st.sampled_from((["braid"], ["zeros", "--no-refine"], ["poles", "--no-refine"]))
+
+    @hypothesis.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(parts, scales, commands)
+    def check(mantissas, exps, command):
+        v = [m * 10.0**e for m, e in zip(mantissas, exps)]
+        flags = [
+            f"--{key}={complex(v[2 * i], v[2 * i + 1])!r}"
+            for i, key in enumerate(ZERO_CFG["parameters"])
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rc = main([*flags, *command])
+        assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+        if rc == 0:
+            _strict_json(out.getvalue())
+
+    check()

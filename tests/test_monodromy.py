@@ -43,10 +43,10 @@ def _zero_state(x=40j):
 def test_loop_validation():
     # the builders' pieces join up: descent, circle, and the circle closes
     for build, base in ((loop_around_x, 1j), (loop_around_origin, -1j)):
-        for R, R0, n_lines in ((200.0, None, 1), (400.0, 200.0, 2)):
-            loop = build(40j, R, R0)
+        for R in (200.0, 400.0):
+            loop = build(40j, R)
             pieces = [*loop.descent, loop.circle]
-            assert len(loop.descent) == n_lines
+            assert len(loop.descent) == 1
             assert abs(pieces[0].start - base * R) <= 1e-9
             for a, b in zip(pieces, pieces[1:]):
                 assert abs(a.end - b.start) <= 1e-9
@@ -159,9 +159,9 @@ def test_zero_length_line_is_identity(state40):
 
 
 def test_monodromy_feval_budget(state40, monkeypatch):
-    # the 2R pass reuses the R pass's circles and lower descents, so only
-    # six pieces are integrated; each line's sub-segments are one batch,
-    # so a field call evaluates many members
+    # one pass: each loop integrates its descent and its circle, four
+    # pieces; each line's sub-segments are one batch, so a field call
+    # evaluates many members
     calls = {"transfers": 0, "nfev": 0, "members": 0}
 
     def counting(f, *args, **kwargs):
@@ -176,9 +176,9 @@ def test_monodromy_feval_budget(state40, monkeypatch):
 
     monkeypatch.setattr(monodromy_module, "integrate_rk54", counting)
     monodromy(state40, 1e-12, R=200.0)
-    assert calls["transfers"] == 6
-    assert calls["nfev"] <= 2_500
-    assert calls["members"] <= 60_000
+    assert calls["transfers"] == 4
+    assert calls["nfev"] <= 1_500
+    assert calls["members"] <= 40_000
 
 
 def test_continue_along_zero_state_loop_closes():
@@ -239,14 +239,22 @@ def test_monodromy_matches_closed_form_smoke(state40):
     assert diff <= 5e-6
 
 
-def test_radius_doubling_changes_little(state40):
-    md = monodromy(state40, 1e-12)
-    change = md.diagnostics["radius_doubling_change"]
-    assert change <= 1e-5
-    # the frame error is the Richardson step's correction to the 2R pass
-    frame_error = md.diagnostics["frame_error"]
-    assert type(frame_error) is float
-    assert frame_error == change / (2.0 ** (monodromy_module.FRAME_ORDERS + 1) - 1.0)
+def test_frame_truncation_and_radius_doubling(state40):
+    # the first omitted frame term is below the transport error, and
+    # doubling R, an independent check of the frame, changes nothing
+    # beyond it
+    md = monodromy(state40, 1e-12, R=200.0)
+    truncation = md.diagnostics["frame_truncation"]
+    assert type(truncation) is float
+    assert truncation <= 1e-13
+    md2 = monodromy(state40, 1e-12, R=400.0)
+    change = max(
+        np.max(np.abs(md2.M0 - md.M0)),
+        np.max(np.abs(md2.Mx - md.Mx)),
+        abs(md2.s1 - md.s1),
+        abs(md2.s2 - md.s2),
+    )
+    assert change <= 1e-12
 
 
 def test_homotopy_invariance_of_pieces(state40):
