@@ -20,7 +20,7 @@ import numpy as np
 
 from . import closedform, monodata, monodromy, tau, transcendents
 from .errors import PvisoNumericalError, PvisoValueError
-from .flow import integrate, refine_at
+from .flow import Seed, integrate, seed_state
 from .linalg import I2, det2, mat_norm, tr2
 from .series import Parameters
 from .special import digamma, gamma
@@ -70,6 +70,11 @@ def _monodromy_to_wire(md: monodata.MonodromyData) -> dict:
     }
 
 
+def _seed_to_wire(seed: Seed) -> dict:
+    """How a state was seeded: the series radius, degree and truncation."""
+    return {k: getattr(seed, k) for k in ("seed_radius", "degree", "seed_truncation")}
+
+
 def _diagnostics_to_wire(md: monodata.MonodromyData) -> dict:
     """The plain-number diagnostics of a numeric monodromy."""
     return {k: v for k, v in md.diagnostics.items() if isinstance(v, (int, float, bool))}
@@ -114,7 +119,6 @@ _OPTIONS = {
     "x": _w2c,
     "x_points": lambda v: [_w2c(z) for z in v] or _reject(v, "a non-empty list"),
     "tol": _positive,
-    "seed_radius": _positive,
     "radius": _positive,
     "m_from": int,
     "m_to": int,
@@ -143,8 +147,8 @@ def _options(cfg: dict, args) -> dict:
 def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
     x = opts.get("x", 40j)
     tol = opts.get("tol", 1e-12)
-    refined = refine_at(p, x, tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
-    md_num = monodromy.monodromy(refined.state, tol, R=opts.get("radius"))
+    seed = seed_state(p, x, tol)
+    md_num = monodromy.monodromy(seed.state, tol, R=opts.get("radius"))
     md_cf = closedform.closed_form_monodromy(p)
     diff = max(
         mat_norm(md_num.M0 - md_cf.M0),
@@ -156,7 +160,7 @@ def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
         "numeric": _monodromy_to_wire(md_num),
         "closed_form": _monodromy_to_wire(md_cf),
         "max_entry_diff": diff,
-        "seed_doubling_diagnostic": refined.diagnostic,
+        "seed": _seed_to_wire(seed),
         "diagnostics": _diagnostics_to_wire(md_num),
     }, None
 
@@ -164,8 +168,8 @@ def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
 def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
     xs = opts.get("x_points", [40j])
     tol = opts.get("tol", 1e-12)
-    refined = refine_at(p, xs[0], tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
-    state = refined.state
+    seed = seed_state(p, xs[0], tol)
+    state = seed.state
     samples = []
     rows = []
     for x in xs:
@@ -187,7 +191,7 @@ def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
         for j in (1, 2)
         for part in ("re", "im")
     )
-    return {"samples": samples, "seed_doubling_diagnostic": refined.diagnostic}, [header, rows]
+    return {"samples": samples, "seed": _seed_to_wire(seed)}, [header, rows]
 
 
 def _flatten(m: np.ndarray) -> list[float]:
@@ -201,7 +205,8 @@ def _flatten(m: np.ndarray) -> list[float]:
 def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
     xs = opts.get("x_points", [40j])
     tol = opts.get("tol", 1e-12)
-    state = refine_at(p, xs[0], tol, seed_radius=opts.get("seed_radius")).state
+    seed = seed_state(p, xs[0], tol)
+    state = seed.state
     out = []
     rows = []
     for x in xs:
@@ -225,7 +230,7 @@ def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
             + _c2w(h)
         )
     header = "re_x,im_x,re_y,im_y,re_z,im_z,re_dlogtau,im_dlogtau"
-    return {"points": out}, [header, rows]
+    return {"points": out, "seed": _seed_to_wire(seed)}, [header, rows]
 
 
 def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
@@ -266,12 +271,7 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
     }
     result = {"kind": kind.value, "rho": _c2w(lattice.rho), "smallness": smallness, "table": entries}
     if refine:
-        anchor = lattice.anchor
-        result["anchor"] = {
-            "seed_radius": anchor.seed_radius,
-            "degree": anchor.degree,
-            "seed_truncation": anchor.seed_truncation,
-        }
+        result["anchor"] = _seed_to_wire(lattice.anchor)
     return result, [header, rows]
 
 
@@ -279,14 +279,14 @@ def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:
     x = opts.get("x", 40j)
     tol = opts.get("tol", 1e-12)
     hs = opts.get("h_values", [4e-2, 2e-2, 1e-2])
-    state = refine_at(p, x, tol, seed_radius=opts.get("seed_radius")).state
+    seed = seed_state(p, x, tol)
     sweeps = []
     rows = []
     for h in hs:
-        r = tau.bilinear_residual(p, x, h, state=state, tol=tol)
+        r = tau.bilinear_residual(p, x, h, state=seed.state, tol=tol)
         sweeps.append({"h": h, "residual": _c2w(r), "abs_residual": abs(r)})
         rows.append([h, abs(r)])
-    return {"x": _c2w(x), "sweep": sweeps}, ["h,abs_residual", rows]
+    return {"x": _c2w(x), "sweep": sweeps, "seed": _seed_to_wire(seed)}, ["h,abs_residual", rows]
 
 
 def _cmd_braid(p: Parameters, opts: dict) -> tuple[dict, None]:
@@ -318,9 +318,9 @@ def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
     check("digamma_value", abs(digamma(2.0) - (1.0 - 0.5772156649015329)), 1e-10)
 
     # series / flow consistency
-    refined = refine_at(p, x, tol, seed_radius=opts.get("seed_radius"), diagnostics=True)
-    state = refined.state
-    check("seed_doubling_diagnostic", refined.diagnostic, 1e-5)
+    seed = seed_state(p, x, tol)
+    state = seed.state
+    check("seed_truncation", seed.seed_truncation, 1e-5)
     b_defect = abs(state.A0[0, 0] + state.Ax[0, 0] + p.thetainf / 2.0)
     check("diagonal_normalization", b_defect, 1e-10)
     check(
@@ -360,6 +360,7 @@ def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
         "all_pass": all(c["pass"] for c in checks),
         "monodromy": _monodromy_to_wire(md),
         "monodromy_diagnostics": _diagnostics_to_wire(md),
+        "seed": _seed_to_wire(seed),
     }, None
 
 
@@ -402,15 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{fname.replace('_', '-')}", dest=fname, type=ftype)
         return sp
 
-    add("monodromy", x=str, tol=float, seed_radius=float, radius=float)
-    add("flow", tol=float, seed_radius=float, x_points=str)
-    add("evaluate", tol=float, seed_radius=float, x_points=str)
+    add("monodromy", x=str, tol=float, radius=float)
+    add("flow", tol=float, x_points=str)
+    add("evaluate", tol=float, x_points=str)
     for name in ("zeros", "poles"):
         sp = add(name, m_from=int, m_to=int, tol=float, root_tol=float)
         sp.add_argument("--no-refine", dest="refine", action="store_false")
-    add("tau", x=str, tol=float, seed_radius=float, h_values=str)
+    add("tau", x=str, tol=float, h_values=str)
     add("braid", steps=int)
-    add("verify", x=str, tol=float, seed_radius=float, monodromy_tol=float)
+    add("verify", x=str, tol=float, monodromy_tol=float)
     return ap
 
 
@@ -444,7 +445,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        result, csv_payload = _COMMANDS[args.command](p, opts)
+        # a float overflow or an invalid operation in numpy raises
+        # FloatingPointError (an ArithmeticError) instead of warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result, csv_payload = _COMMANDS[args.command](p, opts)
     except PvisoValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,9 +4,10 @@
     x dAx/dx = [A0, Ax] + (x/2) [J, Ax].
 
 The flow conserves tr A0, tr Ax, det A0, det Ax and (A0 + Ax)_11, which
-are monitored over every transport.  Series seeds at large |x| on the
-imaginary axis are refined into high-accuracy states and carried to
-moderate |x| where monodromy is computed.
+are monitored over every transport.  A series seed on the imaginary
+axis is carried to moderate |x| where monodromy is computed;
+``seed_state`` picks the seed's radius from its truncation and is the
+seeding rule of every default path.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import numpy as np
 from .errors import DomainError, InvariantDriftError, OriginError, PathError, PvisoValueError
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
-from .series import Parameters, domain_check, series_A_pair, series_seed
+from .series import Parameters, series_seed
 
 __all__ = ["FlowState", "RefineResult", "Seed", "rhs", "integrate", "ray_stencil",
-           "refine_from_series", "refine_at", "seed_state", "SEED_DEGREE"]
+           "refine_from_series", "seed_state", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
-# admissible-strip margin of the series seed
-_SEED_EPS = 0.1
 # total degree of the series behind seed_state
 SEED_DEGREE = 5
 
@@ -204,6 +203,14 @@ def _projected_state(p: Parameters, x: complex, A0: np.ndarray, Ax: np.ndarray) 
     return FlowState(x=x, A0=A0, Ax=Ax, params=p, validate=False)
 
 
+def _series_state(p: Parameters, radius: float, degree: int) -> tuple[FlowState, float]:
+    """The projected series state of total degree ``degree`` at x = i*radius
+    and its seed truncation (``series.series_seed``)."""
+    x = 1j * radius
+    A0, Ax, truncation = series_seed(p, x, degree)
+    return _projected_state(p, x, A0, Ax), truncation
+
+
 def refine_from_series(
     p: Parameters,
     seed_radius: float,
@@ -213,70 +220,48 @@ def refine_from_series(
     diagnostics: bool = True,
 ) -> RefineResult:
     """Seed the pair from the series at x = i*seed_radius and transport
-    to ``x_target``.
+    to ``x_target``, which must satisfy |x| >= 20.
 
     The seed is the L2 series truncation, every coefficient up to total
     degree 3, nudged onto the exact determinant constraints
     det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
-    The returned diagnostic is the max entry difference against the same
-    transport seeded at twice the radius; it estimates the seed
-    truncation error surviving at the target.
+    The returned diagnostic is the seed truncation of ``series_seed``
+    at degree 3 (NaN without ``diagnostics``); it overestimates the
+    seed error.
     """
     x_target = complex(x_target)
-    x_seed = 1j * float(seed_radius)
-    if not domain_check(p, x_seed, _SEED_EPS):
-        raise PathError(f"seed point {x_seed} fails the domain check (eps = {_SEED_EPS})")
     if abs(x_target) < 20.0:
         raise PathError("refinement target should satisfy |x| >= 20")
-
-    def run(radius: float) -> FlowState:
-        ab = series_A_pair(p, 1j * radius, eps=_SEED_EPS)
-        st = _projected_state(p, ab.x, ab.A0, ab.Ax)
-        if st.x == x_target:
-            return st
-        return integrate(st, x_target, tol)
-
-    state = run(float(seed_radius))
-    diag = math.nan
-    if diagnostics:
-        other = run(2.0 * float(seed_radius))
-        diag = max(
-            mat_norm(state.A0 - other.A0), mat_norm(state.Ax - other.Ax)
-        )
-    return RefineResult(state=state, diagnostic=diag)
-
-
-def refine_at(p: Parameters, x: complex, tol=1e-12, *, seed_radius=None, diagnostics=False):
-    """``refine_from_series`` to x, seeded at ``seed_radius`` or by
-    default at max(300, 3|x|)."""
-    radius = seed_radius or max(300.0, 3.0 * abs(x))
-    return refine_from_series(p, radius, x, tol, diagnostics=diagnostics)
+    state, truncation = _series_state(p, float(seed_radius), 3)
+    if state.x != x_target:
+        state = integrate(state, x_target, tol)
+    return RefineResult(state=state, diagnostic=truncation if diagnostics else math.nan)
 
 
 def seed_state(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
-    """The state at x = i r on the axis from the series of total degree
-    ``SEED_DEGREE``, projected as in ``refine_from_series``.
+    """The state at x, |x| >= 20, from the series of total degree
+    ``SEED_DEGREE`` on the axis, projected as in ``refine_from_series``.
+    This is the seeding rule of every default path.
 
-    The series is evaluated at x itself when x lies in its admissible
-    strip and the seed truncation is within the drift budget
+    The series is evaluated at i|x| when that point lies in its
+    admissible strip and the seed truncation is within the drift budget
     100 tol (1 + |A0| + |Ax|) that ``integrate`` applies.  Otherwise it
-    is evaluated at 2x, 4x, ... up to max(300, 2r), where it is taken
-    whatever its truncation, and the state is transported down to x.
+    is evaluated at 2i|x|, 4i|x|, ... up to max(300, 2|x|), where it is
+    taken whatever its truncation.  The state is then transported to x.
     The transport costs about 80 field evaluations per unit of length,
-    so each doubling that passes saves most of the way from max(300, 2r).
+    so each doubling that passes saves most of the way from max(300, 2|x|).
     """
     x = complex(x)
-    if x.real != 0.0 or x.imag <= 0.0:
-        raise PathError(f"seed_state needs a point i r with r > 0, not {x}")
-    radius, ceiling = x.imag, max(300.0, 2.0 * x.imag)
+    if abs(x) < 20.0:
+        raise PathError(f"seed target should satisfy |x| >= 20, not {x}")
+    radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:
-            A0, Ax, truncation = series_seed(p, 1j * radius, SEED_DEGREE)
+            state, truncation = _series_state(p, radius, SEED_DEGREE)
         except DomainError:
             if radius == ceiling:
                 raise
         else:
-            state = _projected_state(p, 1j * radius, A0, Ax)
             budget = 100.0 * tol * (1.0 + mat_norm(state.A0) + mat_norm(state.Ax))
             if truncation <= budget or radius == ceiling:
                 break

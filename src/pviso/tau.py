@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, PvisoValueError
-from .flow import FlowState, ray_stencil, refine_at
+from .flow import FlowState, ray_stencil, seed_state
 from .series import Parameters, domain_check, gamma_quad
 
 __all__ = ["TauSample", "dlog_tau", "dlog_tau_series", "tau_sample", "bilinear_residual"]
@@ -88,10 +88,11 @@ def tau_sample(
     tol: float = 1e-12,
 ) -> TauSample:
     """Sample (log tau)' at x together with finite-difference estimates
-    of the second through fourth log-derivatives."""
+    of the second through fourth log-derivatives.  The stencil starts
+    from ``state`` when given, otherwise from ``flow.seed_state`` at x."""
     x = complex(x)
     if state is None:
-        state = refine_at(p, x, tol).state
+        state = seed_state(p, x, tol).state
     states, step = ray_stencil(state, x, h, 2, tol)
     hm2, hm1, h0, hp1, hp2 = map(dlog_tau, states)
     d1 = (hp1 - hm1) / (2.0 * step)
@@ -107,7 +108,6 @@ def bilinear_residual(
     *,
     state: FlowState | None = None,
     tol: float = 1e-12,
-    seed_radius: float | None = None,
 ) -> complex:
     """Residual of the fourth-order bilinear equation divided by tau^2.
 
@@ -120,11 +120,12 @@ def bilinear_residual(
         - thetax^2 thetainf / 2.
 
     H and its derivatives come from ``tau_sample``: second-order
-    centered differences on a 5-point stencil along the ray.
+    centered differences on a 5-point stencil along the ray, from
+    ``state`` when given, otherwise from ``flow.seed_state`` at x.
     """
     x = complex(x)
     if state is None:
-        state = refine_at(p, x, tol, seed_radius=seed_radius).state
+        state = seed_state(p, x, tol).state
     sample = tau_sample(p, x, h, state=state, tol=tol)
     r1 = h0 = sample.dlogtau
     d1, d2, d3 = sample.higher_derivs

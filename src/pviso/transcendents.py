@@ -26,7 +26,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, Seed, integrate, ray_stencil, refine_at, rhs, seed_state
+from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_state
 from .series import Parameters, domain_check, smallness_score
 
 __all__ = [
@@ -148,16 +148,16 @@ def pv_residual(
     *,
     state: FlowState | None = None,
     tol: float = 1e-12,
-    seed_radius: float | None = None,
 ) -> float:
     """Absolute residual of the second-order Painleve V equation at x,
     with y', y'' from centered differences of the flow-transported y.
 
-    A refined state near x may be passed to avoid re-seeding.
+    The stencil starts from ``state`` when given (a state near x),
+    otherwise from ``flow.seed_state`` at x.
     """
     x = complex(x)
     if state is None:
-        state = refine_at(p, x, tol, seed_radius=seed_radius).state
+        state = seed_state(p, x, tol).state
     states, step = ray_stencil(state, x, h, 1, tol)
     ym1, y0, yp1 = ys = [yzu_from_matrices(st).y for st in states]
     if not all(abs(y) < 1e12 for y in ys):  # a flagged pole reads inf

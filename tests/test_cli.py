@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -153,8 +154,6 @@ def test_evaluate_and_determinism(tmp_path):
         "evaluate",
         "--x-points",
         "40j;41j",
-        "--seed-radius",
-        "200",
     ]
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -185,11 +184,10 @@ def test_missing_parameters_exit_code(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # a seed radius that fails the admissibility check trips a numerical
-    # error path (PathError -> config/value error family -> exit 2)
+    # the series seeds no point with |x| < 20 (PathError, a value error:
+    # exit 2)
     cfg = _write(tmp_path, P1_CFG)
-    rc = main(["--config", cfg, "evaluate", "--x-points", "40j", "--seed-radius", "5"])
-    assert rc in (2, 3)
+    assert main(["--config", cfg, "evaluate", "--x-points", "5j"]) == 2
 
 
 P1_FLAGS = [
@@ -233,7 +231,6 @@ def test_non_boolean_refine_exit_code(tmp_path):
 def test_non_positive_options_exit_code(tmp_path):
     # every tolerance, radius and step must be finite and > 0
     for opts, command in (
-        ({"seed_radius": 0}, "flow"),
         ({"radius": -5}, "monodromy"),
         ({"root_tol": 0}, "zeros"),
         ({"monodromy_tol": math.nan}, "verify"),
@@ -244,10 +241,8 @@ def test_non_positive_options_exit_code(tmp_path):
         assert main(["--config", cfg, command]) == 2, opts
 
 
-def test_zeros_feval_budget(tmp_path, monkeypatch):
-    # criterion 8's zero lattice: one series seed, then one transport per
-    # root with Newton derivatives from the vector field (60,028 field
-    # calls with two walks per root and finite-difference hops)
+def _count_flow_fevals(monkeypatch) -> dict:
+    """Count the field calls of every flow transport from now on."""
     calls = {"nfev": 0}
     transport = flow.integrate_rk54
 
@@ -259,6 +254,14 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
         return transport(g, *args, **kwargs)
 
     monkeypatch.setattr(flow, "integrate_rk54", counting)
+    return calls
+
+
+def test_zeros_feval_budget(tmp_path, monkeypatch):
+    # criterion 8's zero lattice: one series seed, then one transport per
+    # root with Newton derivatives from the vector field (60,028 field
+    # calls with two walks per root and finite-difference hops)
+    calls = _count_flow_fevals(monkeypatch)
     cfg = _write(tmp_path, P8Z_CFG)
     rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "10", "--m-to", "40"])
     assert rc == 0
@@ -273,6 +276,19 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
     assert calls["nfev"] <= 20_000
 
 
+def test_verify_feval_budget(tmp_path, monkeypatch):
+    # the degree-5 series passes its drift budget at 160i, two doublings
+    # above x = 40i (61,406 field calls with a degree-3 seed at 300i and a
+    # second transport from 600i)
+    calls = _count_flow_fevals(monkeypatch)
+    rc, doc = _run(tmp_path, ["--config", _write(tmp_path, P1_CFG), "verify"])
+    assert rc == 0
+    seed = doc["result"]["seed"]
+    assert seed["seed_radius"] == 160.0 and seed["degree"] == 5
+    assert 0.0 < seed["seed_truncation"] <= 1e-10
+    assert calls["nfev"] <= 9_000
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-finite JSON token {token}")
@@ -280,14 +296,18 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_braid_exit_code(tmp_path, capsys):
-    # c0 = 1e300 overflows the shifted matrices to inf and nan, which
-    # have no strict-JSON form: exit 3 and no output
+    # c0 = 1e300 overflows the shifted matrices: exit 3 and no output,
+    # with no numpy warning on the way
     cfg = _write(tmp_path, P1_CFG)
-    rc, doc = _run(tmp_path, ["--config", cfg, "--c0", "1e300", "braid"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, doc = _run(tmp_path, ["--config", cfg, "--c0", "1e300", "braid"])
     assert rc == 3 and doc is None
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_lattice_float_range_exit_code(tmp_path):
@@ -336,6 +356,35 @@ def test_cheap_commands_exit_code_contract():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 rc = main([*flags, *command])
+        assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+        if rc == 0:
+            _strict_json(out.getvalue())
+
+    check()
+
+
+def test_evaluate_exit_code_contract():
+    # a command that seeds and transports: over real thetas and sigma and
+    # complex c0, cx of moduli 1e-3..1e3, evaluate exits 0, 2, 3 or 4,
+    # and on 0 prints strict JSON
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    thetas = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+    # c0 and cx as (log10 modulus, argument)
+    polar = st.tuples(st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi))
+    constants = st.lists(polar, min_size=2, max_size=2)
+    sigmas = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+    points = st.sampled_from(("20j", "25j", "40j", "100j", "3+41j"))
+
+    @hypothesis.settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(thetas, constants, sigmas, points)
+    def check(theta, c, sigma, x):
+        c0, cx = (cmath.rect(10.0**e, phi) for e, phi in c)
+        values = (*theta, c0, cx, sigma)
+        flags = [f"--{key}={complex(v)!r}" for key, v in zip(ZERO_CFG["parameters"], values)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*flags, "evaluate", "--x-points", x])
         assert rc in (0, 2, 3, 4), (rc, err.getvalue())
         if rc == 0:
             _strict_json(out.getvalue())

@@ -9,9 +9,10 @@ from pviso.flow import (
     integrate,
     refine_from_series,
     rhs,
+    seed_state,
 )
 from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
-from pviso.series import Parameters, Truncation, series_A_pair
+from pviso.series import Parameters, Truncation, series_A_pair, series_seed
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
@@ -168,7 +169,9 @@ def test_refine_zero_solution():
 
 
 def test_refine_convergence_diagnostic():
+    # the diagnostic is the degree-3 seed truncation at the seed point
     res = refine_from_series(P1, 400.0, 40j, 1e-12)
+    assert res.diagnostic == series_seed(P1, 400j, 3)[2]
     assert res.diagnostic <= 1e-6
 
 
@@ -178,3 +181,22 @@ def test_refine_waypoint_polyline():
     res = integrate(refine_from_series(P1, 300.0, 45j, 1e-12, diagnostics=False).state, target)
     direct = refine_from_series(P1, 300.0, target, 1e-12, diagnostics=False)
     assert mat_norm(res.A0 - direct.state.A0) < 1e-9
+
+
+def test_seed_state_off_axis():
+    # seeded on the axis at i|x| or a doubling of it and transported to x,
+    # against a degree-3 seed at 1200i (which agrees with one at 2400i to
+    # 2.2e-12 at -2 + 45i); the reference for 3 + 41i is carried on from
+    # -2 + 45i
+    reference = refine_from_series(P1, 1200.0, -2.0 + 45j, 1e-13, diagnostics=False).state
+    for x in (-2.0 + 45j, 3.0 + 41j):
+        reference = integrate(reference, x, 1e-13)
+        seed = seed_state(P1, x)
+        assert seed.state.x == x and seed.seed_radius >= abs(x)
+        assert mat_norm(seed.state.A0 - reference.A0) <= 5e-10
+        assert mat_norm(seed.state.Ax - reference.Ax) <= 5e-10
+
+
+def test_seed_state_rejects_small_x():
+    with pytest.raises(PathError):
+        seed_state(P1, 5j)
