@@ -12,7 +12,6 @@ seeding rule of every default path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ from .ode import integrate_rk54
 from .series import Parameters, series_seed
 
 __all__ = ["FlowState", "RefineResult", "Seed", "rhs", "integrate", "ray_stencil",
-           "refine_from_series", "seed_state", "SEED_DEGREE"]
+           "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
 # total degree of the series behind seed_state
@@ -74,7 +73,7 @@ class RefineResult(NamedTuple):
 
 
 class Seed(NamedTuple):
-    """A state from ``seed_state`` and how it was seeded."""
+    """A state from ``seed_state`` or ``seed_at`` and how it was seeded."""
 
     state: FlowState
     seed_radius: float  # the series was evaluated at i*seed_radius
@@ -226,8 +225,9 @@ def refine_from_series(
     degree 3, nudged onto the exact determinant constraints
     det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
     The returned diagnostic is the seed truncation of ``series_seed``
-    at degree 3 (NaN without ``diagnostics``); it overestimates the
-    seed error.
+    at degree 3, which ``series_seed`` always computes; it overestimates
+    the seed error.  ``diagnostics`` is ignored and kept only for
+    callers that still pass it.
     """
     x_target = complex(x_target)
     if abs(x_target) < 20.0:
@@ -235,25 +235,32 @@ def refine_from_series(
     state, truncation = _series_state(p, float(seed_radius), 3)
     if state.x != x_target:
         state = integrate(state, x_target, tol)
-    return RefineResult(state=state, diagnostic=truncation if diagnostics else math.nan)
+    return RefineResult(state=state, diagnostic=truncation)
 
 
 def seed_state(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
-    """The state at x, |x| >= 20, from the series of total degree
-    ``SEED_DEGREE`` on the axis, projected as in ``refine_from_series``.
-    This is the seeding rule of every default path.
+    """``seed_at`` for a target x with |x| >= 20: the seeding rule of
+    every default path."""
+    x = complex(x)
+    if abs(x) < 20.0:
+        raise PathError(f"seed target should satisfy |x| >= 20, not {x}")
+    return seed_at(p, x, tol)
+
+
+def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
+    """The state at x from the series of total degree ``SEED_DEGREE`` on
+    the axis, projected as in ``refine_from_series``.  Unlike
+    ``seed_state`` it puts no bound on |x|; the zero/pole lattice
+    anchors its top root, which can lie below 20i, with it.
 
     The series is evaluated at i|x| when that point lies in its
     admissible strip and the seed truncation is within the drift budget
     100 tol (1 + |A0| + |Ax|) that ``integrate`` applies.  Otherwise it
     is evaluated at 2i|x|, 4i|x|, ... up to max(300, 2|x|), where it is
-    taken whatever its truncation.  The state is then transported to x.
-    The transport costs about 80 field evaluations per unit of length,
-    so each doubling that passes saves most of the way from max(300, 2|x|).
+    taken whatever its truncation.  The transport costs about 80 field
+    evaluations per unit of length, so each doubling that passes saves
+    most of the way from max(300, 2|x|).  For x = i r, |x| is r exactly.
     """
-    x = complex(x)
-    if abs(x) < 20.0:
-        raise PathError(f"seed target should satisfy |x| >= 20, not {x}")
     radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:

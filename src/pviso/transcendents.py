@@ -26,7 +26,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_state
+from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_at, seed_state
 from .series import Parameters, domain_check, smallness_score
 
 __all__ = [
@@ -292,12 +292,12 @@ def refine_lattice(
 ) -> SeedLattice:
     """The seeds of ``zero_pole_seeds`` for m_from..m_to refined by
     ``refine_root`` from the top down: the anchor state comes from
-    ``flow.seed_state`` on the axis at the top seed, and every root starts
+    ``flow.seed_at`` on the axis at the top seed, and every root starts
     from the state at the root above.  The returned lattice's ``roots``
     holds the state at each root, in seed order, and ``anchor`` the
     anchor's seed."""
     lattice = zero_pole_seeds(p, kind, m_from, m_to)
-    lattice.anchor = seed_state(p, 1j * lattice.seeds[-1][1].imag, flow_tol)
+    lattice.anchor = seed_at(p, 1j * lattice.seeds[-1][1].imag, flow_tol)
     state = lattice.anchor.state
     roots = []
     for _, seed in reversed(lattice.seeds):

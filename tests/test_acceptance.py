@@ -52,7 +52,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def state40():
-    return refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
+    return refine_from_series(P1, 400.0, 40j, 1e-12).state
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_criterion_01_monodromy_cross_validation(mdcf):
     5e-11, the error of the 40i state; the printed-only L1 seed gives
     1.8e-6."""
     t0 = time.monotonic()
-    state = refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
+    state = refine_from_series(P1, 400.0, 40j, 1e-12).state
     md = monodromy(state, 1e-12, R=200.0)
     elapsed = time.monotonic() - t0
     diff = max(mat_norm(md.M0 - mdcf.M0), mat_norm(md.Mx - mdcf.Mx))
@@ -248,7 +248,7 @@ def test_criterion_07_series_coefficients_of_y():
     a1 = c * (-s + P1.theta0 + P1.thetax) / 2.0
     b1 = (s + P1.theta0 + P1.thetax) / (2.0 * c)
     ts = [300.0 + 0.5 * k for k in range(28)]
-    state = refine_from_series(P1, 700.0, 1j * ts[-1], 1e-12, diagnostics=False).state
+    state = refine_from_series(P1, 700.0, 1j * ts[-1], 1e-12).state
     rows, vals = [], []
     for t in reversed(ts):
         x = 1j * t

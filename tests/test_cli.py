@@ -276,6 +276,16 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
     assert calls["nfev"] <= 20_000
 
 
+def test_zeros_top_below_20i(tmp_path):
+    # the |x| >= 20 rule guards user targets, not the lattice anchor: the
+    # m = 3 zero lies near 13.98i and is still anchored from the axis
+    cfg = _write(tmp_path, P8Z_CFG)
+    rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "3", "--m-to", "3"])
+    assert rc == 0
+    (row,) = doc["result"]["table"]
+    assert row["seed"][1] < 20.0 and row["residual"] <= 1e-9
+
+
 def test_verify_feval_budget(tmp_path, monkeypatch):
     # the degree-5 series passes its drift budget at 160i, two doublings
     # above x = 40i (61,406 field calls with a degree-3 seed at 300i and a

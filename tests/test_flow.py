@@ -151,7 +151,7 @@ def test_flow_stays_bounded_on_axis():
 def test_refine_noop_at_seed():
     # at the seed point the state is the projected series pair, which
     # moves only within the det-defect ball
-    res = refine_from_series(P1, 200.0, 200j, 1e-12, diagnostics=False)
+    res = refine_from_series(P1, 200.0, 200j, 1e-12)
     ab = series_A_pair(P1, 200j)
     assert mat_norm(res.state.A0 - _project_eigenvalue_constraints(ab.A0, P1.theta0)) == 0.0
     assert mat_norm(res.state.Ax - _project_eigenvalue_constraints(ab.Ax, P1.thetax)) == 0.0
@@ -178,8 +178,8 @@ def test_refine_convergence_diagnostic():
 def test_refine_waypoint_polyline():
     # the detour through 45i agrees with the straight path to -2 + 45i
     target = -2.0 + 45j
-    res = integrate(refine_from_series(P1, 300.0, 45j, 1e-12, diagnostics=False).state, target)
-    direct = refine_from_series(P1, 300.0, target, 1e-12, diagnostics=False)
+    res = integrate(refine_from_series(P1, 300.0, 45j, 1e-12).state, target)
+    direct = refine_from_series(P1, 300.0, target, 1e-12)
     assert mat_norm(res.A0 - direct.state.A0) < 1e-9
 
 
@@ -188,7 +188,7 @@ def test_seed_state_off_axis():
     # against a degree-3 seed at 1200i (which agrees with one at 2400i to
     # 2.2e-12 at -2 + 45i); the reference for 3 + 41i is carried on from
     # -2 + 45i
-    reference = refine_from_series(P1, 1200.0, -2.0 + 45j, 1e-13, diagnostics=False).state
+    reference = refine_from_series(P1, 1200.0, -2.0 + 45j, 1e-13).state
     for x in (-2.0 + 45j, 3.0 + 41j):
         reference = integrate(reference, x, 1e-13)
         seed = seed_state(P1, x)

@@ -33,7 +33,7 @@ PZERO = Parameters(theta0=0, thetax=0, thetainf=0, c0=1.0, cx=1.0, sigma=0)
 
 @pytest.fixture(scope="module")
 def state40():
-    return refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
+    return refine_from_series(P1, 400.0, 40j, 1e-12).state
 
 
 def _zero_state(x=40j):

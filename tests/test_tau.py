@@ -12,7 +12,7 @@ P1 = Parameters(
 
 @pytest.fixture(scope="module")
 def state40():
-    return refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
+    return refine_from_series(P1, 400.0, 40j, 1e-12).state
 
 
 def test_dlog_tau_zero_state():

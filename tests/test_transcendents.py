@@ -33,7 +33,7 @@ P8P = Parameters(theta0=0.05, thetax=0.45, thetainf=0.1, c0=1.0, cx=25.0, sigma=
 
 @pytest.fixture(scope="module")
 def state40():
-    return refine_from_series(P1, 400.0, 40j, 1e-12, diagnostics=False).state
+    return refine_from_series(P1, 400.0, 40j, 1e-12).state
 
 
 def test_yzu_formulas():
@@ -243,7 +243,7 @@ def test_anchor_falls_back_above_top():
     assert anchor.seed_truncation >= err
     # the degree-3 route from 300i is itself 2.6e-9 off the degree-10
     # series here, so it is compared seeded four times as high (5.7e-11)
-    today = refine_from_series(P8P, 1200.0, top, 1e-12, diagnostics=False).state
+    today = refine_from_series(P8P, 1200.0, top, 1e-12).state
     assert max(mat_norm(anchor.state.A0 - today.A0), mat_norm(anchor.state.Ax - today.Ax)) <= 1e-9
 
 
@@ -267,7 +267,7 @@ def test_smallness_heuristic_recorded():
 def zero_lattice_state():
     lat = zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 13)
     top = 1j * lat.seeds[-1][1].imag
-    state = refine_from_series(PZ, 400.0, top, 1e-12, diagnostics=False).state
+    state = refine_from_series(PZ, 400.0, top, 1e-12).state
     return lat, state
 
 
@@ -304,7 +304,7 @@ def test_newton_derivative_matches_centred_difference(p, kind):
     # Newton's F' from the vector field against a centred difference of
     # F = y (zeros) or 1/y (poles) transported to x -+ h, at a lattice seed
     _, seed = zero_pole_seeds(p, kind, 10, 10).seeds[0]
-    state = refine_from_series(p, 300.0, 1j * seed.imag, 1e-12, diagnostics=False).state
+    state = refine_from_series(p, 300.0, 1j * seed.imag, 1e-12).state
     state = integrate(state, seed, 1e-12)
 
     def F(x):
@@ -359,7 +359,7 @@ def test_backlund_exponential_coefficients():
     s, t0, tx, ti, c = P1.sigma, P1.theta0, P1.thetax, P1.thetainf, P1.c
     x1 = 200j
     x2 = x1 + 1j * math.pi
-    state = refine_from_series(P1, 600.0, x1, 1e-12, diagnostics=False).state
+    state = refine_from_series(P1, 600.0, x1, 1e-12).state
     pt1 = yzu_from_matrices(state)
     v1, _ = backlund_pi(P1, x1, pt1.y, state.Ax[0, 0])
     state2 = integrate(state, x2, 1e-12)
@@ -380,7 +380,7 @@ def test_backlund_output_solves_substituted_equation():
     # finite-difference residual of the transformed function against the
     # equation with the substituted constants
     x0 = 40j
-    state = refine_from_series(P1, 400.0, x0, 1e-12, diagnostics=False).state
+    state = refine_from_series(P1, 400.0, x0, 1e-12).state
     h = 1e-3
     vals = []
     anchor = state
