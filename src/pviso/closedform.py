@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GammaPoleError, ResonanceError, ZeroConstantError
+from .errors import ConsistencyError, GammaPoleError, PvisoNumericalError, ResonanceError, ZeroConstantError
 from .linalg import DELTA_MINUS, DELTA_PLUS, I2, det2, mat, mat_inv, mat_norm
 from .monodata import MonodromyData
 from .series import Parameters
@@ -266,8 +266,20 @@ def closed_form_monodromy(
     The two constructions must agree entrywise within ``check_tol``.
     When the conjugation route hits a genuine resonance (singular V or a
     digamma pole), the entrywise data is returned alone unless
-    ``require_structural`` is set.
+    ``require_structural`` is set.  A float overflow in either route
+    (large theta makes the factorials and Gamma values overflow) raises
+    PvisoNumericalError naming the thetas.
     """
+    try:
+        return _closed_form_monodromy(p, check_tol, require_structural)
+    except OverflowError as exc:
+        raise PvisoNumericalError(
+            f"closed-form monodromy overflows at theta0 = {p.theta0}, "
+            f"thetax = {p.thetax}, thetainf = {p.thetainf}: {exc}"
+        ) from exc
+
+
+def _closed_form_monodromy(p: Parameters, check_tol: float, require_structural: bool) -> MonodromyData:
     M0, Mx, s1, s2 = _entrywise(p)
     diag = {"structural_checked": False, "structural_max_diff": math.nan}
     try:

@@ -221,8 +221,8 @@ def refine_from_series(
     """Seed the pair from the series at x = i*seed_radius and transport
     to ``x_target``, which must satisfy |x| >= 20.
 
-    The seed is the L2 series truncation, every coefficient up to total
-    degree 3, nudged onto the exact determinant constraints
+    The seed is the series with every coefficient up to total degree 3,
+    nudged onto the exact determinant constraints
     det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
     The returned diagnostic is the seed truncation of ``series_seed``
     at degree 3, which ``series_seed`` always computes; it overestimates

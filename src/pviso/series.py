@@ -10,24 +10,20 @@ with every component a convergent double series in E+ = e^x x^(sigma-1)
 and E- = e^-x x^(-sigma-1) whose coefficients are asymptotic series in
 1/x.
 
-Truncation levels:
-  L0 keeps the leading constants and the first exponential terms.
-  L1 adds all printed 1/x corrections, the printed squared-exponential
-     terms and the printed x^-2 constant correction; every bracket whose
-     value is not printed is set to zero.
-  L2 keeps every term E+^a E-^b x^-k with a + b + k <= 3, with all
-     coefficients solved order by order from the Schlesinger system at
-     the given parameters (the formal-transseries method of Costin,
-     "Asymptotics and Borel Summability", 2008).  It reproduces every
-     printed coefficient and adds the ones L1 leaves out, including
-     eight at total degree 2.
+``series_A_pair`` keeps every term E+^a E-^b x^-k with a + b + k <= 3,
+with all coefficients solved order by order from the Schlesinger system
+at the given parameters (the formal-transseries method of Costin,
+"Asymptotics and Borel Summability", 2008).  It reproduces every
+coefficient the paper prints and adds the ones it leaves out, including
+eight at total degree 2.
 
 The order-by-order solver is generic in the total degree D: the plan,
 its straight-line compilation and the basis of (D+1)^2 terms E^n x^-k
 are generated from the term list, once per degree on first use.
 ``series_seed`` evaluates the pair at any degree together with its seed
 truncation, the largest entry of the degree-D terms' contribution to A0
-and Ax.  Truncation.L2 is degree 3.
+and Ax; ``series_A_pair`` is its degree 3.  Both evaluate the pair only
+in the admissible strip, where |E+| and |E-| stay below ``EPS``.
 """
 
 from __future__ import annotations
@@ -40,14 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError, PvisoValueError, ZeroConstantError
+from .errors import DegenerateParameterError, DomainError, ZeroConstantError
 from .linalg import DELTA_MINUS, DELTA_PLUS, J, BranchedLog, branched_power, mat
 
 __all__ = [
     "Parameters",
     "GammaQuad",
     "ABPair",
-    "Truncation",
     "DegenerateKind",
     "gamma_quad",
     "leading_lambda_matrices",
@@ -58,8 +53,7 @@ __all__ = [
     "smallness_score",
 ]
 
-DEFAULT_DELTA = 0.1
-DEFAULT_X_FLOOR = 20.0
+EPS = 0.1  # bound on |E+| and |E-| in the admissible strip
 
 
 @dataclass(frozen=True)
@@ -131,16 +125,6 @@ class GammaQuad:
         return self.gxp * self.gxm
 
 
-class Truncation(str, enum.Enum):
-    """Which terms of the generic series are evaluated (see the module
-    docstring): L0 and L1 evaluate printed coefficients only, L2 every
-    coefficient up to total degree 3, derived from the equations."""
-
-    L0 = "L0"
-    L1 = "L1"
-    L2 = "L2"
-
-
 class DegenerateKind(str, enum.Enum):
     TWO_PARAM = "two-param"
     ONE_PARAM = "one-param"
@@ -159,7 +143,6 @@ class ABPair:
     gplus: complex
     gminus: complex
     x: complex
-    truncation_order: Truncation = Truncation.L1
     arg_x: float = field(default=0.0)
 
 
@@ -190,52 +173,30 @@ def _branched(x: complex, arg_x: float | None) -> BranchedLog:
     return BranchedLog.from_point(x, arg_hint=arg_x)
 
 
-def domain_check(
-    p: Parameters,
-    x: complex,
-    eps: float,
-    *,
-    delta: float = DEFAULT_DELTA,
-    x_floor: float = DEFAULT_X_FLOOR,
-    arg_x: float | None = None,
-) -> bool:
+def domain_check(p: Parameters, x: complex, *, arg_x: float | None = None) -> bool:
     """True iff x lies in the sector-like strip where both expansion
-    variables E+ and E- have modulus below eps.
+    variables E+ and E- have modulus below EPS.
 
-    Explicitly: |arg x - pi/2| < pi/2 - delta, |x| > x_floor and
+    Explicitly: |arg x - pi/2| < pi/2 - 0.1, |x| > 20 and
 
-      -(1+Re sigma) log|x| + Im sigma * arg x + log(1/eps)
+      -(1+Re sigma) log|x| + Im sigma * arg x + log(1/EPS)
           < Re x <
-      (1-Re sigma) log|x| + Im sigma * arg x - log(1/eps).
+      (1-Re sigma) log|x| + Im sigma * arg x - log(1/EPS).
     """
     x = complex(x)
     if x == 0:
-        _check_eps(eps)
         return False
-    return _in_strip(p, x, eps, _branched(x, arg_x).tracked_arg, delta, x_floor)
+    return _in_strip(p, x, _branched(x, arg_x).tracked_arg)
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise PvisoValueError("eps must lie in (0, 1)")
-
-
-def _in_strip(
-    p: Parameters,
-    x: complex,
-    eps: float,
-    ax: float,
-    delta: float = DEFAULT_DELTA,
-    x_floor: float = DEFAULT_X_FLOOR,
-) -> bool:
+def _in_strip(p: Parameters, x: complex, ax: float) -> bool:
     """domain_check for a nonzero x whose argument ``ax`` is already tracked."""
-    _check_eps(eps)
-    if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - delta:
+    if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - 0.1:
         return False
-    if abs(x) <= x_floor:
+    if abs(x) <= 20.0:
         return False
     lx = math.log(abs(x))
-    leps = math.log(1.0 / eps)
+    leps = math.log(1.0 / EPS)
     s = p.sigma
     lo = -(1.0 + s.real) * lx + s.imag * ax + leps
     hi = (1.0 - s.real) * lx + s.imag * ax - leps
@@ -243,7 +204,7 @@ def _in_strip(
 
 
 def smallness_score(p: Parameters) -> float:
-    """Heuristic admissibility product: the factor multiplying eps in the
+    """Heuristic admissibility product: the factor multiplying EPS in the
     contraction condition of the convergence proof.  Small score means a
     comfortably convergent family at desk scale."""
     g = gamma_quad(p)
@@ -252,7 +213,7 @@ def smallness_score(p: Parameters) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncation.L2: every coefficient up to total degree 3, solved order by order
+# series_A_pair: every coefficient up to total degree 3, solved order by order
 #
 # With E = E+ (so E- = E^-1 x^-2), a = (sigma+thetainf)/2, b = (sigma-thetainf)/2
 # and the normalized components
@@ -277,7 +238,7 @@ def smallness_score(p: Parameters) -> float:
 # of the other four.  One pass per degree solves everything: no iteration,
 # and no division by a parameter.
 
-_L2_DEGREE = 3  # the total degree of Truncation.L2
+_L2_DEGREE = 3  # the total degree of series_A_pair
 
 
 def _terms(degree: int) -> tuple:
@@ -440,67 +401,12 @@ def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
     return ((p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm), coefs, basis
 
 
-def _printed_components(p, ep, em, ix, l1):
-    """f0 and the normalized Fp, Gp, Fm, Gm from the printed coefficients
-    (L0, or L1 when ``l1``)."""
-    g = gamma_quad(p)
-    s, ti = p.sigma, p.thetainf
-    P = g.p0
-    Q = g.px
-    S2 = s * s - ti * ti
-
-    # f0
-    f0 = (s - ti) / 4.0
-    if l1:
-        f0 += -((s + ti) * P + (s - ti) * Q) * ix * ix / 2.0
-        cp = 1.0 - (s - 1.0 + 2.0 * (P + Q) - S2 / 2.0) * ix
-        cm = 1.0 - (s + 1.0 - 2.0 * (P + Q) + S2 / 2.0) * ix
-    else:
-        cp = cm = 1.0
-    f0 += g.g0m * g.gxp * cp * ep + g.g0p * g.gxm * cm * em
-
-    # x^((s+ti)/2) f+ = g0p (1 + (2Q - S2/4)/x) - gxp ((s-ti)/2) E+
-    #                   - g0m gxp^2 E+^2 + 2 g0p^2 gxm E-/x
-    fp = g.g0p * (1.0 + ((2.0 * Q - S2 / 4.0) * ix if l1 else 0.0))
-    fp -= g.gxp * ((s - ti) / 2.0) * ep
-    if l1:
-        fp -= g.g0m * g.gxp * g.gxp * ep * ep
-        fp += 2.0 * g.g0p * g.g0p * g.gxm * em * ix
-
-    # e^-x x^(-(s-ti)/2) g+ = gxp (1 - (2P - S2/4)/x) + 2 g0m gxp^2 E+/x
-    #                         - g0p ((s+ti)/2) E- - g0p^2 gxm E-^2
-    gp = g.gxp * (1.0 - ((2.0 * P - S2 / 4.0) * ix if l1 else 0.0))
-    if l1:
-        gp += 2.0 * g.g0m * g.gxp * g.gxp * ep * ix
-    gp -= g.g0p * ((s + ti) / 2.0) * em
-    if l1:
-        gp -= g.g0p * g.g0p * g.gxm * em * em
-
-    # x^(-(s+ti)/2) f- = g0m (1 - (2Q - S2/4)/x) + 2 g0m^2 gxp E+/x
-    #                    - gxm ((s-ti)/2) E- - g0p gxm^2 E-^2
-    fm = g.g0m * (1.0 - ((2.0 * Q - S2 / 4.0) * ix if l1 else 0.0))
-    if l1:
-        fm += 2.0 * g.g0m * g.g0m * g.gxp * ep * ix
-    fm -= g.gxm * ((s - ti) / 2.0) * em
-    if l1:
-        fm -= g.g0p * g.gxm * g.gxm * em * em
-
-    # e^x x^((s-ti)/2) g- = gxm (1 + (2P - S2/4)/x) - g0m ((s+ti)/2) E+
-    #                       - g0m^2 gxp E+^2 + 2 g0p gxm^2 E-/x
-    gm = g.gxm * (1.0 + ((2.0 * P - S2 / 4.0) * ix if l1 else 0.0))
-    gm -= g.g0m * ((s + ti) / 2.0) * ep
-    if l1:
-        gm -= g.g0m * g.g0m * g.gxp * ep * ep
-        gm += 2.0 * g.g0p * g.gxm * g.gxm * em * ix
-    return f0, fp, gp, fm, gm
-
-
-def _expansion(p: Parameters, x: complex, arg_x, check_domain: bool, eps: float):
+def _expansion(p: Parameters, x: complex, arg_x, check_domain: bool):
     """The branched log of x and e^x, E+, E-, 1/x there, after the strip
     check."""
     bl = _branched(x, arg_x)
-    if check_domain and not _in_strip(p, x, eps, bl.tracked_arg):
-        raise DomainError(f"x = {x} outside the admissible strip (eps = {eps})")
+    if check_domain and not _in_strip(p, x, bl.tracked_arg):
+        raise DomainError(f"x = {x} outside the admissible strip (eps = {EPS})")
     ex = cmath.exp(x)
     x_s1 = branched_power(bl, p.sigma - 1.0)  # x^(sigma-1)
     # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
@@ -515,7 +421,7 @@ def _unnormalize(p: Parameters, bl: BranchedLog, ex: complex, fp, gp, fm, gm):
     return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
 
 
-def _ab_pair(p, x, bl, ex, order, f0, fp, gp, fm, gm) -> ABPair:
+def _ab_pair(p, x, bl, ex, f0, fp, gp, fm, gm) -> ABPair:
     """The pair at x from f0 and the normalized Fp, Gp, Fm, Gm there."""
     g0 = -p.thetainf / 2.0 - f0
     fplus, gplus, fminus, gminus = _unnormalize(p, bl, ex, fp, gp, fm, gm)
@@ -529,7 +435,6 @@ def _ab_pair(p, x, bl, ex, order, f0, fp, gp, fm, gm) -> ABPair:
         gplus=gplus,
         gminus=gminus,
         x=x,
-        truncation_order=order,
         arg_x=bl.tracked_arg,
     )
 
@@ -537,36 +442,28 @@ def _ab_pair(p, x, bl, ex, order, f0, fp, gp, fm, gm) -> ABPair:
 def series_A_pair(
     p: Parameters,
     x: complex,
-    order: Truncation = Truncation.L2,
     *,
     arg_x: float | None = None,
     check_domain: bool = True,
-    eps: float = 0.1,
 ) -> ABPair:
-    """Evaluate the generic three-parameter series at the truncation
-    ``order`` (a Truncation or its name)."""
-    order = Truncation(order)
+    """Evaluate the generic three-parameter series at x from every term
+    of total degree <= 3 (see the module docstring)."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x, arg_x, check_domain, eps)
-    if order is Truncation.L2:
-        components = _l2_components(p, ep, em, ix)[0]
-    else:
-        components = _printed_components(p, ep, em, ix, order is Truncation.L1)
-    return _ab_pair(p, x, bl, ex, order, *components)
+    bl, ex, ep, em, ix = _expansion(p, x, arg_x, check_domain)
+    return _ab_pair(p, x, bl, ex, *_l2_components(p, ep, em, ix)[0])
 
 
 def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
     """A0 and Ax at x from every term of total degree <= ``degree``,
-    solved order by order as for Truncation.L2, and the seed truncation:
-    the largest entry of the degree-``degree`` terms' contribution to A0
-    and Ax.  That last order overestimates the error of the sum (at 250i
-    and degree 5, by 30-50x against a degree-12 series).  Raises
-    DomainError outside the admissible strip of ``series_A_pair``'s
-    default eps."""
+    solved order by order as for ``series_A_pair``, and the seed
+    truncation: the largest entry of the degree-``degree`` terms'
+    contribution to A0 and Ax.  That last order overestimates the error
+    of the sum (at 250i and degree 5, by 30-50x against a degree-12
+    series).  Raises DomainError outside the admissible strip."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x, None, True, 0.1)
+    bl, ex, ep, em, ix = _expansion(p, x, None, True)
     components, coefs, basis = _l2_components(p, ep, em, ix, degree)
-    ab = _ab_pair(p, x, bl, ex, Truncation.L2, *components)
+    ab = _ab_pair(p, x, bl, ex, *components)
     top = degree * degree  # the terms of total degree `degree` come last
     tail_dl, *tail = (coefs[:, top:] @ basis[top:]).tolist()
     truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, bl, ex, *tail)))
@@ -647,6 +544,5 @@ def series_A_pair_degenerate(
         gplus=gplus,
         gminus=gminus,
         x=x,
-        truncation_order=Truncation.L1,
         arg_x=bl.tracked_arg,
     )

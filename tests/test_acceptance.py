@@ -4,13 +4,13 @@ line with the measured value next to its stated tolerance.
 Shared pipeline state is computed once in module fixtures; criterion 1
 re-runs its own pipeline because it is also a wall-clock budget check.
 
-Criteria 1 and 5 hinge on the series seed.  With only the printed
-coefficients (Truncation.L1) they read 1.8e-6 against 1e-6 and residual
-factors 1.78/1.77 against 3: the dominant dropped term is the E+ x^-1
-bracket of x^((sigma+thetainf)/2) f+, of size |x|^-(2 - Re sigma).  The
-default seed (Truncation.L2) derives every coefficient up to total
-degree 3 from the Schlesinger system, and both criteria pass at their
-stated tolerances.
+Criteria 1 and 5 hinge on the series seed.  With only the coefficients
+the paper prints they read 1.835e-6 against 1e-6 and residual factors
+1.78/1.77 against 3: the dominant dropped term is the E+ x^-1 bracket of
+x^((sigma+thetainf)/2) f+, of size |x|^-(2 - Re sigma).  The series
+(``series_A_pair``) derives every coefficient up to total degree 3 from
+the Schlesinger system, and both criteria pass at their stated
+tolerances.
 """
 
 import cmath
@@ -79,8 +79,8 @@ def test_criterion_01_monodromy_cross_validation(mdcf):
     """Seed at 400i, flow to 40i (tol 1e-12), monodromy in one pass at
     R = 200; every entry within 1e-6 of the closed form,
     under 60 s single-threaded.  With the degree-3 seed it reads about
-    5e-11, the error of the 40i state; the printed-only L1 seed gives
-    1.8e-6."""
+    5e-11, the error of the 40i state; a seed from only the printed
+    coefficients gives 1.835e-6."""
     t0 = time.monotonic()
     state = refine_from_series(P1, 400.0, 40j, 1e-12).state
     md = monodromy(state, 1e-12, R=200.0)
@@ -189,10 +189,10 @@ def test_criterion_05_series_validity():
     the same is asserted for the finite-difference deformation-equation
     residual per the stated criterion.  The residual is measured at steps
     h and h/2, which must agree within 10% at every radius: otherwise the
-    stencil error, not the series, sets the reading.  With the printed-only
-    L1 series the residual factor is pinned at 2^(1 - Re sigma) ~ 1.7 by
-    the dropped E+ x^-1 bracket; the degree-3 default gives ~8.5 and
-    ~13.4."""
+    stencil error, not the series, sets the reading.  With only the
+    printed coefficients the residual factor is pinned at
+    2^(1 - Re sigma) ~ 1.7 by the dropped E+ x^-1 bracket; the degree-3
+    series gives ~8.5 and ~13.4."""
     radii = (100.0, 200.0, 400.0)
     defects = []
     residuals = []
@@ -273,9 +273,7 @@ def _lattice_run(p, kind, m_from, m_to, residual_tol):
     # re-check every root with a transport of our own: from a series seed
     # on the axis, along the axis and out to the root
     top = 1j * lattice.seeds[-1][1].imag
-    anchor = refine_from_series(
-        p, max(300.0, 2.0 * abs(top)), top, 1e-12, diagnostics=False
-    ).state
+    anchor = refine_from_series(p, max(300.0, 2.0 * abs(top)), top, 1e-12).state
     scaled = []
     for (m, seed), root_state in reversed(list(zip(lattice.seeds, lattice.roots))):
         root = root_state.x

@@ -334,11 +334,14 @@ def test_lattice_float_range_exit_code(tmp_path):
 
 
 def test_overflow_exit_code(tmp_path, capsys):
-    # the closed form at theta0 = 200 or 300 overflows a float
+    # the closed form at theta0 = 200 (a factorial) or 300 (a Gamma
+    # value) overflows a float; the message names the closed form and theta0
     for theta0 in ("200", "300"):
         rc, doc = _run(tmp_path, [*P1_FLAGS, "--c0", "1", "--theta0", theta0, "braid"])
         assert rc == 3 and doc is None
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: closed-form monodromy overflows at theta0 = ({theta0}+0j)")
+        assert "Traceback" not in err
 
 
 def test_cheap_commands_exit_code_contract():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pviso import flow
 from pviso.errors import OriginError, PathError, PvisoValueError
 from pviso.flow import (
     FlowState,
@@ -12,15 +13,15 @@ from pviso.flow import (
     seed_state,
 )
 from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
-from pviso.series import Parameters, Truncation, series_A_pair, series_seed
+from pviso.series import Parameters, series_A_pair, series_seed
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
 )
 
 
-def _series_state(p, x, order=Truncation.L1):
-    ab = series_A_pair(p, x, order)
+def _series_state(p, x):
+    ab = series_A_pair(p, x)
     return FlowState(x=ab.x, A0=ab.A0, Ax=ab.Ax, params=p, validate=False)
 
 
@@ -102,17 +103,22 @@ def test_integrate_path_through_origin_rejected():
 
 
 def test_flow_matches_series_within_truncation():
-    # both sides at L1: its error at 60i is 3.6x (A0) and 5.8x (Ax) its det
-    # defect, while at L2 the ratios are 36x and 42x, so the bound holds for L1
-    s = _series_state(P1, 200j, Truncation.L1)
-    out = integrate(s, 60j, 1e-12)
-    ab = series_A_pair(P1, 60j, Truncation.L1)
-    defect = abs(det2(ab.A0) + P1.theta0**2 / 4.0) + abs(
-        det2(ab.Ax) + P1.thetax**2 / 4.0
-    )
-    bound = 20.0 * defect + 1e-10
-    assert mat_norm(out.A0 - ab.A0) <= bound
-    assert mat_norm(out.Ax - ab.Ax) <= bound
+    # the series evaluated at the target is an oracle for the transport:
+    # the degree-5 state at 200i carried to 60i lies within the degree-5
+    # series' own truncation there (gap 5.9e-11, truncation 6.6e-10)
+    state, _ = flow._series_state(P1, 200.0, 5)
+    out = integrate(state, 60j, 1e-12)
+    A0, Ax, truncation = series_seed(P1, 60j, 5)
+    assert max(mat_norm(out.A0 - A0), mat_norm(out.Ax - Ax)) <= truncation
+
+
+def test_seed_state_matches_series_at_x():
+    # seed_state at 40i seeds at 160i; the degree-8 series at 40i itself
+    # bounds the seed and transport error together (gap 7.1e-12,
+    # truncation 2.0e-11)
+    state = seed_state(P1, 40j).state
+    A0, Ax, truncation = series_seed(P1, 40j, 8)
+    assert max(mat_norm(state.A0 - A0), mat_norm(state.Ax - Ax)) <= truncation
 
 
 def test_flow_conserves_determinants():
