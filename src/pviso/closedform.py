@@ -36,6 +36,9 @@ __all__ = ["ConnectionFactors", "closed_form_factors", "closed_form_monodromy"]
 _TWO_PI_I = 2j * math.pi
 
 _INT_TOL = 1e-12
+# bound on the entrywise/conjugation disagreement, relative to the scale
+# of the data and the conditioning of the connection matrices
+_CHECK_TOL = 1e-10
 
 
 def _as_integer(z: complex) -> int | None:
@@ -57,12 +60,6 @@ class ConnectionFactors:
     C01: np.ndarray
     C02: np.ndarray
     Cx: np.ndarray
-    integer_case_0: bool
-    integer_case_x: bool
-    delta_star_0: str | None  # "plus" | "minus" when integer_case_0
-    delta_star_x: str | None
-    sqrt_c0: complex  # recorded branch used in c0^(-J/2)
-    sqrt_cx: complex
 
 
 def _hadamard_ratio(m: np.ndarray) -> float:
@@ -131,10 +128,10 @@ def _exp_piJ(w: complex) -> np.ndarray:
     return mat(e, 0.0, 0.0, 1.0 / e)
 
 
-def _c_half_inv(c: complex) -> tuple[np.ndarray, complex]:
+def _c_half_inv(c: complex) -> np.ndarray:
     """c^(-J/2) = diag(1/sqrt(c), sqrt(c)) on the principal branch."""
     r = cmath.sqrt(c)
-    return mat(1.0 / r, 0.0, 0.0, r), r
+    return mat(1.0 / r, 0.0, 0.0, r)
 
 
 def _require_constants(p: Parameters) -> None:
@@ -166,27 +163,15 @@ def closed_form_factors(p: Parameters) -> ConnectionFactors:
         * DELTA_PLUS
     )
 
-    c0_half_inv, r0 = _c_half_inv(p.c0)
-    cx_half_inv, rx = _c_half_inv(p.cx)
+    c0_half_inv = _c_half_inv(p.c0)
+    cx_half_inv = _c_half_inv(p.cx)
     e_quarter = _exp_piJ((s + ti) / 4.0)
     C01 = V0 @ mat_inv(sstar) @ e_quarter @ c0_half_inv
     C02 = V0 @ mat_inv(sstarstar) @ mat_inv(e_quarter) @ c0_half_inv
     Cx = Vx @ cx_half_inv
 
     return ConnectionFactors(
-        V0=V0,
-        Vx=Vx,
-        Sstar=sstar,
-        Sstarstar=sstarstar,
-        C01=C01,
-        C02=C02,
-        Cx=Cx,
-        integer_case_0=n0 is not None,
-        integer_case_x=nx is not None,
-        delta_star_0=None if n0 is None else ("plus" if n0 >= 0 else "minus"),
-        delta_star_x=None if nx is None else ("plus" if nx >= 0 else "minus"),
-        sqrt_c0=r0,
-        sqrt_cx=rx,
+        V0=V0, Vx=Vx, Sstar=sstar, Sstarstar=sstarstar, C01=C01, C02=C02, Cx=Cx
     )
 
 
@@ -254,24 +239,21 @@ def _structural(p: Parameters, cf: ConnectionFactors, s2: complex) -> tuple[np.n
     return M0, Mx
 
 
-def closed_form_monodromy(
-    p: Parameters,
-    *,
-    check_tol: float = 1e-10,
-    require_structural: bool = False,
-) -> MonodromyData:
+def closed_form_monodromy(p: Parameters) -> MonodromyData:
     """Monodromy data from the explicit formulas, cross-checked against
     the conjugation construction whenever the latter is non-resonant.
 
-    The two constructions must agree entrywise within ``check_tol``.
+    The two constructions must agree entrywise within ``_CHECK_TOL``.
     When the conjugation route hits a genuine resonance (singular V or a
-    digamma pole), the entrywise data is returned alone unless
-    ``require_structural`` is set.  A float overflow in either route
-    (large theta makes the factorials and Gamma values overflow) raises
-    PvisoNumericalError naming the thetas.
+    digamma pole), the entrywise data is returned alone.  A float
+    overflow in either route (large theta makes the factorials and Gamma
+    values overflow) raises PvisoNumericalError naming the thetas, and
+    so does an entrywise result with an inf or nan entry (large |sigma|
+    overflows the complex products, which raise nothing), naming sigma
+    too.
     """
     try:
-        return _closed_form_monodromy(p, check_tol, require_structural)
+        return _closed_form_monodromy(p)
     except OverflowError as exc:
         raise PvisoNumericalError(
             f"closed-form monodromy overflows at theta0 = {p.theta0}, "
@@ -279,22 +261,26 @@ def closed_form_monodromy(
         ) from exc
 
 
-def _closed_form_monodromy(p: Parameters, check_tol: float, require_structural: bool) -> MonodromyData:
+def _closed_form_monodromy(p: Parameters) -> MonodromyData:
     M0, Mx, s1, s2 = _entrywise(p)
+    if not all(map(cmath.isfinite, [*M0.ravel().tolist(), *Mx.ravel().tolist(), s1, s2])):
+        raise PvisoNumericalError(
+            f"closed-form monodromy is not finite at sigma = {p.sigma}, "
+            f"theta0 = {p.theta0}, thetax = {p.thetax}, thetainf = {p.thetainf}"
+        )
     diag = {"structural_checked": False, "structural_max_diff": math.nan}
     try:
         cf = closed_form_factors(p)
         M0s, Mxs = _structural(p, cf, s2)
     except (ResonanceError, GammaPoleError):
-        if require_structural:
-            raise
+        pass
     else:
         diff = max(mat_norm(M0 - M0s), mat_norm(Mx - Mxs))
         # the conjugation route loses accuracy like the conditioning of
         # its connection matrices; near-integer theta this is large
         cond = max(_hadamard_ratio(cf.V0), _hadamard_ratio(cf.Vx), 1.0)
         scale = (1.0 + max(mat_norm(M0), mat_norm(Mx))) * cond
-        if diff > check_tol * scale:
+        if diff > _CHECK_TOL * scale:
             raise ConsistencyError(
                 "closed-form constructions disagree: "
                 f"max entry diff {diff:.3e} (entrywise vs conjugation)"

@@ -109,9 +109,8 @@ def rhs(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
     return mat(*dy[:4]), mat(*dy[4:])
 
 
-def _segment_distance(a: complex, b: complex, point: complex = 0.0) -> float:
-    """Distance from ``point`` to the segment [a, b]."""
-    a, b = a - point, b - point
+def _segment_distance(a: complex, b: complex) -> float:
+    """Distance from 0 to the segment [a, b]."""
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0.0:

@@ -6,12 +6,13 @@ computed with respect to the solution normalized as
 Y = (I + O(1/lambda)) e^(lambda/2 J) lambda^(-thetainf/2 J) on the branch
 arg lambda in (-pi/2, 3pi/2).
 
-Both loops have one shape, a ``Loop``: down a descent along the imaginary
-axis, once around a unit circle (positively) and back up the same way
-(R >= 4(|x|+10)):
-  around x:  base point iR, descent to x + i, unit circle about x;
-  around 0:  base point -iR on the continued branch (arg = 3pi/2),
-             descent to -i, unit circle about 0.
+monodromy() continues around two loops, each a Line down the imaginary
+axis, once around a unit circle (an Arc, positively) and back up the
+same Line (R >= 4(|x|+10)):
+  around x:  Line(iR, x + i), then Arc(x, 1, pi/2, 5pi/2);
+  around 0:  Line(-iR, -i) from -iR on the continued branch (arg = 3pi/2),
+             then Arc(0, 1, -pi/2, 3pi/2).
+The circles overlap at |x| <= 1, which monodromy() rejects with PathError.
 
 The ODE transport runs only on the pieces that hug the imaginary axis
 or the unit circles, where the two exponential modes e^(+-lambda/2) have
@@ -67,8 +68,8 @@ than once per member: at R = 200 the four transfers take 1,352 field
 calls (37,130 member evaluations).  The unit circles stay single
 systems.
 
-A loop's transfer is P^-1 C P, with P the transfer down the descent, a
-single Line, and C the circle's.
+A loop's transfer is P^-1 C P, with P the transfer down its Line and C
+the circle's.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, PathError, RadiusError
-from .flow import FlowState, _segment_distance
+from .flow import FlowState
 from .linalg import (
     DELTA_PLUS,
     I2,
@@ -95,22 +96,10 @@ from .linalg import (
     mat_norm,
     power_J,
 )
-from .monodata import MonodromyData, braid_shift
+from .monodata import MonodromyData
 from .ode import integrate_rk54
 
-__all__ = [
-    "Line",
-    "Arc",
-    "Loop",
-    "loop_around_origin",
-    "loop_around_x",
-    "normalized_frame",
-    "frame_coefficients",
-    "continue_along",
-    "monodromy",
-    "braid_shift",
-    "MonodromyData",
-]
+__all__ = ["Line", "Arc", "normalized_frame", "frame_coefficients", "monodromy"]
 
 # asymptotic frame orders of monodromy(); the first omitted one is its
 # frame_truncation diagnostic
@@ -170,38 +159,6 @@ class Arc:
 Piece = Line | Arc
 
 
-@dataclass(frozen=True)
-class Loop:
-    """Down ``descent``, once around ``circle`` (positively) and back up
-    the same way; the base point is where the descent starts."""
-
-    descent: tuple[Line, ...]
-    circle: Arc
-
-
-def _axis_loop(unit: complex, R: float, entry: complex, circle: Arc, other: complex) -> Loop:
-    """Descent from unit*R along the imaginary axis to ``entry`` on the
-    circle."""
-    # a descend-circle-return loop winds once about the points inside its
-    # circle and never about those outside
-    if abs(other - circle.center) <= circle.radius:
-        raise PathError(f"loop about {circle.center} also encloses {other}")
-    return Loop((Line(unit * R, entry),), circle)
-
-
-def loop_around_x(x: complex, R: float) -> Loop:
-    """Base iR, descent to x + i, unit circle about x."""
-    half = math.pi / 2.0
-    return _axis_loop(1j, R, x + 1j, Arc(x, 1.0, half, half + 2.0 * math.pi), 0.0)
-
-
-def loop_around_origin(x: complex, R: float) -> Loop:
-    """Base -iR (on the continued branch), descent to -i, unit circle
-    about 0."""
-    half = math.pi / 2.0
-    return _axis_loop(-1j, R, -1j, Arc(0.0, 1.0, -half, 3.0 * half), x)
-
-
 # ---------------------------------------------------------------------------
 # asymptotic frame
 
@@ -249,25 +206,19 @@ def frame_coefficients(s: FlowState, orders: int):
 def normalized_frame(
     s: FlowState,
     R: float,
+    coefficients: Sequence[np.ndarray],
     *,
     arg_lambda: float = math.pi / 2.0,
-    orders: int = 1,
-    coefficients: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Value of the normalized solution at lambda = R e^(i arg_lambda)
-    from its asymptotic expansion truncated after ``orders`` terms, each
-    with its diagonal (``frame_coefficients``).  A caller that already
-    holds ``frame_coefficients(s, orders)`` passes them as
-    ``coefficients``, and ``orders`` is then their number.
+    from its asymptotic expansion truncated after the given
+    ``coefficients``, ``frame_coefficients(s, k)`` for k terms.
 
-    The default is the first correction; monodromy() takes FRAME_ORDERS
-    terms at arg pi/2 (base iR) and 3pi/2 (base -iR), computed once
-    together with the first omitted one.
+    monodromy() takes FRAME_ORDERS terms at arg pi/2 (base iR) and 3pi/2
+    (base -iR), computed once together with the first omitted one.
     """
     if R < 4.0 * (abs(s.x) + 10.0):
         raise RadiusError(f"normalization radius {R} < 4(|x|+10)")
-    if coefficients is None:
-        coefficients = frame_coefficients(s, orders)
     lam = BranchedLog(math.log(R), arg_lambda)
     z = lam.point
     series = np.array(I2, dtype=complex)
@@ -348,13 +299,14 @@ def _map_back(z, start, end) -> np.ndarray:
     return np.moveaxis(W, (0, 1), (-2, -1))
 
 
-def _piece_transfer(s: FlowState, piece: Piece, tol: float) -> np.ndarray:
+def _transfer(s: FlowState, piece: Piece, tol: float) -> np.ndarray:
     """Transfer matrix of the linear system along one piece.
 
     Z is integrated from the identity and mapped back with
     W = e^(lambda_end J/2) Z e^(-lambda_start J/2).  The integrator
     tolerance is tightened with the piece's length so the accumulated
-    error stays within ~100*tol.
+    error stays within ~100*tol, and the determinant drift must stay
+    within 100*tol*max(1, |W|^2).
 
     A Line is split into ceil(length / SUB_SEGMENT) equal sub-segments.
     Each one's Z starts from the identity, so all of them are stepped
@@ -362,75 +314,46 @@ def _piece_transfer(s: FlowState, piece: Piece, tol: float) -> np.ndarray:
     whole line, so its Z is their ordered product, and the partial
     products map back to the transfers from the line's start to each
     sub-segment's end, each held to _MAX_TRANSFER_NORM.  An Arc is
-    stepped as a single system.
+    stepped as a single system and its transfer held to the same cap.
     """
     tol_local = tol * min(1.0, 10.0 / max(piece.length, 1.0))
     if isinstance(piece, Arc):
         z = integrate_rk54(
             _linear_field(s, piece), 0.0, piece.length, (1.0, 0.0, 0.0, 1.0), tol_local
         )
-        return _map_back(z, piece.start, piece.end)
-    m = max(1, math.ceil(piece.length / SUB_SEGMENT))
-    points = np.linspace(piece.start, piece.end, m + 1)
-    one, zero = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
-    z = integrate_rk54(
-        _linear_field(s, piece, points[:-1]),
-        0.0,
-        piece.length / m,
-        (one, zero, zero, one),
-        tol_local,
-    )
-    partial = np.empty((m, 2, 2), dtype=complex)
-    Z = np.array(I2, dtype=complex)
-    for j, Zj in enumerate(z.T.reshape(m, 2, 2)):
-        Z = partial[j] = Zj @ Z
-    W = _map_back(partial.reshape(m, 4).T, piece.start, points[1:])
-    # every partial product is within the cap when the largest one is
-    j = int(np.argmax(np.abs(W).max(axis=(1, 2))))
-    _capped(W[j], f"sub-segment {j} of {piece}")
-    return W[-1]
-
-
-def _transfer(s: FlowState, pieces: Sequence[Piece], tol: float) -> np.ndarray:
-    """Transfer matrix along the concatenated pieces, the product of the
-    per-piece transfers.
-
-    The determinant drift must stay within 100*tol*max(1, |W|^2), and a
-    partial product with |W| > _MAX_TRANSFER_NORM is rejected at once."""
-    W = np.array(I2, dtype=complex)
-    for piece in pieces:
-        W = _capped(_piece_transfer(s, piece, tol) @ W, piece)
+        W = _capped(_map_back(z, piece.start, piece.end), piece)
+    else:
+        m = max(1, math.ceil(piece.length / SUB_SEGMENT))
+        points = np.linspace(piece.start, piece.end, m + 1)
+        one, zero = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
+        z = integrate_rk54(
+            _linear_field(s, piece, points[:-1]),
+            0.0,
+            piece.length / m,
+            (one, zero, zero, one),
+            tol_local,
+        )
+        partial = np.empty((m, 2, 2), dtype=complex)
+        Z = np.array(I2, dtype=complex)
+        for j, Zj in enumerate(z.T.reshape(m, 2, 2)):
+            Z = partial[j] = Zj @ Z
+        Ws = _map_back(partial.reshape(m, 4).T, piece.start, points[1:])
+        # every partial product is within the cap when the largest one is
+        j = int(np.argmax(np.abs(Ws).max(axis=(1, 2))))
+        _capped(Ws[j], f"sub-segment {j} of {piece}")
+        W = Ws[-1]
     drift = abs(det2(W) - 1.0)
     if drift > 100.0 * tol * max(1.0, mat_norm(W) ** 2):
         raise ConsistencyError(f"transfer determinant drifted by {drift:.3e}")
     return W
 
 
-def _loop_transfer(s: FlowState, loop: Loop, tol: float) -> np.ndarray:
-    """P^-1 C P, with P the transfer down the loop's descent and C the
-    transfer once around its circle."""
-    P = _transfer(s, loop.descent, tol)
-    C = _transfer(s, [loop.circle], tol)
+def _loop_transfer(s: FlowState, descent: Line, circle: Arc, tol: float) -> np.ndarray:
+    """P^-1 C P, with P the transfer down ``descent`` and C the transfer
+    once around ``circle``."""
+    P = _transfer(s, descent, tol)
+    C = _transfer(s, circle, tol)
     return mat_inv(P) @ C @ P
-
-
-def continue_along(s: FlowState, Y0: np.ndarray, loop: Loop, tol: float = 1e-12) -> np.ndarray:
-    """Analytic continuation around ``loop`` of the solution with value
-    ``Y0`` at the loop's base point, by direct ODE transport.
-
-    The loop must stay at distance >= 0.5 from both finite singular
-    points.  A piece that swings deep into Re lambda << 0 or >> 0 grows
-    its transfer past 1e3 and is rejected with ConsistencyError rather
-    than silently returning garbage.
-    """
-    c, r = loop.circle.center, loop.circle.radius
-    for pt in (0.0 + 0.0j, s.x):
-        near = abs(abs(pt - c) - r)
-        for line in loop.descent:
-            near = min(near, _segment_distance(line.start, line.end, pt))
-        if near < 0.5:
-            raise PathError(f"loop passes within 0.5 of singular point {pt}")
-    return _loop_transfer(s, loop, tol) @ np.array(Y0, dtype=complex)
 
 
 def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> MonodromyData:
@@ -444,16 +367,19 @@ def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> Mo
     Nx S2 N0, and ``frame_truncation`` the first omitted frame term
     |G_(FRAME_ORDERS+1)| / R^(FRAME_ORDERS+1).
     """
-    R = float(R) if R is not None else 4.0 * (abs(s.x) + 10.0)
     x, ti = s.x, s.params.thetainf
+    if abs(x) <= 1.0:
+        raise PathError(f"the unit circles about 0 and x = {x} overlap")
+    R = float(R) if R is not None else 4.0 * (abs(x) + 10.0)
     half = math.pi / 2.0
     *frame, omitted = frame_coefficients(s, FRAME_ORDERS + 1)
 
-    loop_x, loop_0 = loop_around_x(x, R), loop_around_origin(x, R)
-    frame_top = normalized_frame(s, R, arg_lambda=half, coefficients=frame)
-    frame_bot = normalized_frame(s, R, arg_lambda=3.0 * half, coefficients=frame)
-    Nx = mat_inv(frame_top) @ _loop_transfer(s, loop_x, tol) @ frame_top
-    N0 = mat_inv(frame_bot) @ _loop_transfer(s, loop_0, tol) @ frame_bot
+    frame_top = normalized_frame(s, R, frame, arg_lambda=half)
+    frame_bot = normalized_frame(s, R, frame, arg_lambda=3.0 * half)
+    loop_x = _loop_transfer(s, Line(1j * R, x + 1j), Arc(x, 1.0, half, 5.0 * half), tol)
+    loop_0 = _loop_transfer(s, Line(-1j * R, -1j), Arc(0.0, 1.0, -half, 3.0 * half), tol)
+    Nx = mat_inv(frame_top) @ loop_x @ frame_top
+    N0 = mat_inv(frame_bot) @ loop_0 @ frame_bot
 
     denom = Nx[0, 0] * N0[1, 1]
     if abs(denom) < 1e-12:

@@ -12,7 +12,7 @@ and err5^2, err3^2 the sums over the n components of |d_i / sc_i|^2 for
 the 5th- and 3rd-order error estimates d (taken without the factor h),
 the step's error is h err5^2 / sqrt((err5^2 + 0.01 err3^2) n) and the
 step is accepted when it is at most 1.  The next step is
-h * clamp(0.9 err^(-1/8), 0.2, 10), never longer than ``max_step``.
+h * clamp(0.9 err^(-1/8), 0.2, 10), never longer than ``MAX_STEP``.
 
 The state is held as a short list of Python complex numbers and every
 stage sum is written out as scalar arithmetic with the couplings
@@ -48,6 +48,9 @@ import numpy as np
 from .errors import StepUnderflowError
 
 __all__ = ["integrate_rk54"]
+
+# ceiling on the step length
+MAX_STEP = 0.5
 
 # DOP853 tableau (Hairer's dop853.f).  C<i> is the node of stage i; A<i>
 # holds stage i's nonzero couplings in stage order: stage 1 only for
@@ -174,8 +177,6 @@ def integrate_rk54(
     t1: float,
     y0: Sequence[complex] | Sequence[np.ndarray],
     tol: float,
-    *,
-    max_step: float = 0.5,
 ) -> np.ndarray:
     """Integrate y' = f(t, y) from t0 to t1 (t1 >= t0) with DOP853, the
     local error per step controlled at ``tol`` (mixed absolute/relative
@@ -195,12 +196,12 @@ def integrate_rk54(
     n = len(y)
     larger = np.maximum if batch else max
     t = t0
-    h = min(max_step, span, 0.1)
+    h = min(MAX_STEP, span, 0.1)
     h_floor = 1e-13 * max(1.0, span)
     k1 = f(t, y)
     nfail = 0
     while t < t1:
-        h = min(h, t1 - t, max_step)
+        h = min(h, t1 - t, MAX_STEP)
         if h < h_floor:
             raise StepUnderflowError(f"step size underflow at t = {t} (h = {h})")
         a1 = h * A2[0]

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _POLE_CUTOFF = 1e-13
+# Newton steps refine_root takes before it gives up
+MAX_NEWTON = 30
 
 
 class LatticeKind(str, enum.Enum):
@@ -251,14 +253,12 @@ def root_check(s: FlowState, kind: LatticeKind) -> tuple[float, float]:
 
 
 def refine_root(
-    p: Parameters,
     seed: complex,
     kind: LatticeKind,
     tol: float = 1e-9,
     *,
     state: FlowState,
     flow_tol: float = 1e-12,
-    max_iter: int = 30,
 ) -> FlowState:
     """Newton refinement of a zero of y (kind ZERO) or of 1/y (kind POLE)
     starting from ``seed``.
@@ -271,14 +271,14 @@ def refine_root(
     |1/y| <= tol).
     """
     state = integrate(state, complex(seed), flow_tol)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         f, step = _newton(state, kind)
         if abs(f) <= tol:
             return state
         if abs(step) > 2.0:
             raise ConvergenceError(f"Newton step {abs(step):.2f} leaves the basin of seed {seed}")
         state = integrate(state, state.x + step, flow_tol)
-    raise ConvergenceError(f"no convergence after {max_iter} Newton iterations")
+    raise ConvergenceError(f"no convergence after {MAX_NEWTON} Newton iterations")
 
 
 def refine_lattice(
@@ -301,7 +301,7 @@ def refine_lattice(
     state = lattice.anchor.state
     roots = []
     for _, seed in reversed(lattice.seeds):
-        state = refine_root(p, seed, kind, root_tol, state=state, flow_tol=flow_tol)
+        state = refine_root(seed, kind, root_tol, state=state, flow_tol=flow_tol)
         roots.append(state)
     lattice.roots = roots[::-1]
     return lattice

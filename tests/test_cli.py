@@ -344,6 +344,17 @@ def test_overflow_exit_code(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_non_finite_closed_form_exit_code(tmp_path, capsys):
+    # at large |sigma| the closed form has inf and nan entries; the
+    # message names it and sigma instead of a later division
+    for sigma in ("400", "-400", "400i"):
+        rc, doc = _run(tmp_path, [*P1_FLAGS, "--c0", "1", f"--sigma={sigma}", "braid"])
+        assert rc == 3 and doc is None
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: closed-form monodromy is not finite at sigma = ")
+        assert "Traceback" not in err
+
+
 def test_cheap_commands_exit_code_contract():
     # any complex parameters, over many magnitudes: braid and the
     # unrefined lattices exit 0, 2, 3 or 4, and on 0 print strict JSON

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pviso.closedform import closed_form_factors, closed_form_monodromy
-from pviso.errors import ResonanceError
+from pviso.errors import PvisoNumericalError, ResonanceError
 from pviso.linalg import I2, det2, mat_inv, mat_norm, tr2
 from pviso.series import Parameters
 from pviso.special import gamma
@@ -34,6 +34,14 @@ def test_star_factor_vanishes_at_reciprocal_gamma_zero():
     p = P1.replace(sigma=2.0 * P1.theta0 + P1.thetainf)
     cf = closed_form_factors(p)
     assert abs(cf.Sstar[1, 0]) < 1e-14
+
+
+@pytest.mark.parametrize("sigma", [400.0, -400.0, 400j])
+def test_non_finite_closed_form_raises(sigma):
+    # at large |sigma| the entrywise products overflow to inf and nan
+    # without raising; the closed form must say so, naming sigma
+    with pytest.raises(PvisoNumericalError, match=r"not finite at sigma = "):
+        closed_form_monodromy(P1.replace(sigma=sigma))
 
 
 def test_v0_entry_direct_substitution():

@@ -12,10 +12,7 @@ from pviso import monodromy as monodromy_module
 from pviso.monodromy import (
     Arc,
     Line,
-    Loop,
-    continue_along,
-    loop_around_origin,
-    loop_around_x,
+    frame_coefficients,
     monodromy,
     normalized_frame,
     _linear_field,
@@ -40,24 +37,6 @@ def _zero_state(x=40j):
     return FlowState(x=x, A0=np.zeros((2, 2), complex), Ax=np.zeros((2, 2), complex), params=PZERO)
 
 
-def test_loop_validation():
-    # the builders' pieces join up: descent, circle, and the circle closes
-    for build, base in ((loop_around_x, 1j), (loop_around_origin, -1j)):
-        for R in (200.0, 400.0):
-            loop = build(40j, R)
-            pieces = [*loop.descent, loop.circle]
-            assert len(loop.descent) == 1
-            assert abs(pieces[0].start - base * R) <= 1e-9
-            for a, b in zip(pieces, pieces[1:]):
-                assert abs(a.end - b.start) <= 1e-9
-            assert abs(loop.circle.end - loop.circle.start) <= 1e-9
-    # at |x| < 1 each circle also encloses the other singular point
-    with pytest.raises(PathError):
-        loop_around_x(0.5j, 200.0)
-    with pytest.raises(PathError):
-        loop_around_origin(0.5j, 200.0)
-
-
 def test_monodromy_rejects_overlapping_circles():
     with pytest.raises(PathError):
         monodromy(_zero_state(0.5j), 1e-12)
@@ -65,23 +44,26 @@ def test_monodromy_rejects_overlapping_circles():
 
 def test_normalized_frame_zero_state():
     s = _zero_state()
-    y = normalized_frame(s, 200.0)
+    y = normalized_frame(s, 200.0, frame_coefficients(s, 1))
     assert np.allclose(y, exp_J(200j / 2.0))
 
 
 def test_normalized_frame_radius_error():
     with pytest.raises(RadiusError):
-        normalized_frame(_zero_state(), 100.0)
+        s = _zero_state()
+        normalized_frame(s, 100.0, frame_coefficients(s, 1))
 
 
 def test_normalized_frame_residual_decays(state40):
     # ODE residual of the frame at the base point is O(R^-2): the defect
     # must fall at least ~4x when R doubles
+    first = frame_coefficients(state40, 1)
+
     def residual(R):
         h = 1e-4
         lamc = 1j * R
         ys = [
-            normalized_frame(state40, abs(lamc + k * h * 1j), orders=1)
+            normalized_frame(state40, abs(lamc + k * h * 1j), first)
             for k in (-1, 0, 1)
         ]
         dy = (ys[2] - ys[0]) / (2.0 * h * 1j)
@@ -149,13 +131,13 @@ def test_interaction_picture_transfer_matches_plain_field(state40):
         Arc(0.0, 1.0, -half, 3.0 * half),
     )
     for piece in pieces:
-        got = _transfer(state40, [piece], 1e-12)
+        got = _transfer(state40, piece, 1e-12)
         ref = plain_transfer(piece, 1e-14)
         assert mat_norm(got - ref) <= 1e-11
 
 
 def test_zero_length_line_is_identity(state40):
-    assert np.array_equal(_transfer(state40, [Line(50j, 50j)], 1e-12), I2)
+    assert np.array_equal(_transfer(state40, Line(50j, 50j), 1e-12), I2)
 
 
 def test_monodromy_feval_budget(state40, monkeypatch):
@@ -181,32 +163,11 @@ def test_monodromy_feval_budget(state40, monkeypatch):
     assert calls["members"] <= 40_000
 
 
-def test_continue_along_zero_state_loop_closes():
-    s = _zero_state()
-    y0 = exp_J(100j)
-    loop = loop_around_x(40j, 200.0)
-    out = continue_along(s, y0, loop, 1e-12)
-    assert mat_norm(out - y0) < 1e-9
-
-
-def test_continue_along_det_preserved(state40):
-    loop = loop_around_x(40j, 200.0)
-    y0 = normalized_frame(state40, 200.0)
-    out = continue_along(state40, y0, loop, 1e-12)
-    assert abs(det2(out) - det2(y0)) <= 1e-10 * max(1.0, abs(det2(y0)))
-
-
-def test_continue_along_rejects_deep_arc(state40):
+def test_transfer_rejects_deep_arc(state40):
     # the left arc from 200i to -200i reaches Re lambda = -200, where the
     # transfer grows to ~1e71 and the determinant check could pass anything
     with pytest.raises(ConsistencyError):
-        _transfer(state40, [Arc(0.0, 200.0, math.pi / 2.0, 1.5 * math.pi)], 1e-12)
-
-
-def test_continue_along_rejects_close_path(state40):
-    bad = Loop(descent=(), circle=Arc(40j, 0.3, math.pi / 2.0, math.pi / 2.0 + 2.0 * math.pi))
-    with pytest.raises(PathError):
-        continue_along(state40, np.array(I2), bad, 1e-12)
+        _transfer(state40, Arc(0.0, 200.0, math.pi / 2.0, 1.5 * math.pi), 1e-12)
 
 
 def test_monodromy_zero_state_is_identity():
@@ -262,14 +223,14 @@ def test_homotopy_invariance_of_pieces(state40):
     # must not change Mx beyond the transport tolerance scale
     tol = 1e-10
     R = 200.0
-    frame = normalized_frame(state40, R, orders=6)
+    frame = normalized_frame(state40, R, frame_coefficients(state40, 6))
     half = math.pi / 2.0
 
-    def conjugated(loop):
-        return mat_inv(frame) @ _loop_transfer(state40, loop, tol) @ frame
+    def conjugated(descent, circle):
+        return mat_inv(frame) @ _loop_transfer(state40, descent, circle, tol) @ frame
 
-    a = conjugated(Loop((Line(1j * R, 40j + 1j),), Arc(40j, 1.0, half, half + 2 * math.pi)))
-    b = conjugated(Loop((Line(1j * R, 40j + 1.4j),), Arc(40j, 1.4, half, half + 2 * math.pi)))
+    a = conjugated(Line(1j * R, 40j + 1j), Arc(40j, 1.0, half, half + 2 * math.pi))
+    b = conjugated(Line(1j * R, 40j + 1.4j), Arc(40j, 1.4, half, half + 2 * math.pi))
     assert mat_norm(a - b) <= 10.0 * tol * 100.0
 
 

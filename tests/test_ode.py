@@ -50,8 +50,8 @@ def test_list_and_array_inputs_agree():
         a, b, c, d = y
         return (b, -a + 0.1j * c, d * t, c - a)
 
-    a = integrate_rk54(f, 0.5, 4.0, y0, 1e-11, max_step=0.3)
-    b = integrate_rk54(f, 0.5, 4.0, np.array(y0), 1e-11, max_step=0.3)
+    a = integrate_rk54(f, 0.5, 4.0, y0, 1e-11)
+    b = integrate_rk54(f, 0.5, 4.0, np.array(y0), 1e-11)
     assert isinstance(a, np.ndarray) and a.dtype == complex
     assert np.array_equal(a, b)
 

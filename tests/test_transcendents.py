@@ -326,7 +326,7 @@ def test_refine_root_negative_control(zero_lattice_state):
     m, seed = lat.seeds[1]
     shifted = seed + 1j * math.pi
     try:
-        root = refine_root(PZ, shifted, LatticeKind.ZERO, tol=1e-9, state=state).x
+        root = refine_root(shifted, LatticeKind.ZERO, tol=1e-9, state=state).x
     except ConvergenceError:
         return
     dists = [abs(root - s) for _, s in lat.seeds]
