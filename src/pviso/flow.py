@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InvariantDriftError, OriginError, PathError, PvisoValueError
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
-from .series import Parameters, series_seed
+from .series import EPS, Parameters, axis_radii, series_seed
 
 __all__ = ["FlowState", "RefineResult", "Seed", "rhs", "integrate", "ray_stencil",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
@@ -237,6 +237,16 @@ def refine_from_series(
     return RefineResult(state=state, diagnostic=truncation)
 
 
+def _axis_message(p: Parameters, first: float, last: float) -> str:
+    """Why no seed radius from ``first`` to ``last`` lies in the strip."""
+    radii = axis_radii(p)
+    held = "no point i r" if radii is None else "i r only for r in ({:.6g}, {:.6g})".format(*radii)
+    return (
+        f"sigma = {p.sigma}: the series' admissible strip (eps = {EPS}) holds {held}, "
+        f"so no seed radius from {first:.6g} to {last:.6g} is admissible"
+    )
+
+
 def seed_state(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
     """``seed_at`` for a target x with |x| >= 20: the seeding rule of
     every default path."""
@@ -259,14 +269,16 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
     taken whatever its truncation.  The transport costs about 80 field
     evaluations per unit of length, so each doubling that passes saves
     most of the way from max(300, 2|x|).  For x = i r, |x| is r exactly.
+    If that one fails the strip too, the DomainError names sigma and
+    the radii on the axis that the strip holds.
     """
     radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:
             state, truncation = _series_state(p, radius, SEED_DEGREE)
-        except DomainError:
+        except DomainError as exc:
             if radius == ceiling:
-                raise
+                raise DomainError(_axis_message(p, abs(x), ceiling)) from exc
         else:
             budget = 100.0 * tol * (1.0 + mat_norm(state.A0) + mat_norm(state.Ax))
             if truncation <= budget or radius == ceiling:

@@ -120,17 +120,13 @@ class BranchedLog:
         return cmath.exp(self.value)
 
     @classmethod
-    def from_point(cls, z: complex, arg_hint: float | None = None) -> "BranchedLog":
-        """Branched log of ``z``; with ``arg_hint``, pick the branch of the
-        argument nearest the hint instead of the principal one."""
+    def from_point(cls, z: complex) -> "BranchedLog":
+        """Branched log of ``z`` on the principal branch of the argument;
+        build the instance directly for another branch."""
         z = complex(z)
         if z == 0:
             raise PvisoValueError("branched log of 0")
-        a = cmath.phase(z)
-        if arg_hint is not None:
-            k = round((arg_hint - a) / (2.0 * math.pi))
-            a += 2.0 * math.pi * k
-        return cls(math.log(abs(z)), a)
+        return cls(math.log(abs(z)), cmath.phase(z))
 
     def continue_to(self, z_new: complex) -> "BranchedLog":
         """Continue the branch to a nearby point.

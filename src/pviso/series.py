@@ -17,9 +17,10 @@ at the given parameters (the formal-transseries method of Costin,
 coefficient the paper prints and adds the ones it leaves out, including
 eight at total degree 2.
 
-The order-by-order solver is generic in the total degree D: the plan,
-its straight-line compilation and the basis of (D+1)^2 terms E^n x^-k
-are generated from the term list, once per degree on first use.
+The order-by-order solver is generic in the total degree D: the plan
+of the solve is built from the term list once per degree, on first use,
+and each parameter set steps through it; the basis of (D+1)^2 terms
+E^n x^-k comes from powers of E+, E- and 1/x.
 ``series_seed`` evaluates the pair at any degree together with its seed
 truncation, the largest entry of the degree-D terms' contribution to A0
 and Ax; ``series_A_pair`` is its degree 3.  Both evaluate the pair only
@@ -32,7 +33,8 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +52,7 @@ __all__ = [
     "series_seed",
     "series_A_pair_degenerate",
     "domain_check",
+    "axis_radii",
     "smallness_score",
 ]
 
@@ -143,7 +146,6 @@ class ABPair:
     gplus: complex
     gminus: complex
     x: complex
-    arg_x: float = field(default=0.0)
 
 
 def gamma_quad(p: Parameters) -> GammaQuad:
@@ -169,31 +171,20 @@ def leading_lambda_matrices(p: Parameters) -> tuple[np.ndarray, np.ndarray]:
     return lam0, lamx
 
 
-def _branched(x: complex, arg_x: float | None) -> BranchedLog:
-    return BranchedLog.from_point(x, arg_hint=arg_x)
-
-
-def domain_check(p: Parameters, x: complex, *, arg_x: float | None = None) -> bool:
+def domain_check(p: Parameters, x: complex) -> bool:
     """True iff x lies in the sector-like strip where both expansion
     variables E+ and E- have modulus below EPS.
 
-    Explicitly: |arg x - pi/2| < pi/2 - 0.1, |x| > 20 and
+    Explicitly, with arg x principal: |arg x - pi/2| < pi/2 - 0.1,
+    |x| > 20 and
 
       -(1+Re sigma) log|x| + Im sigma * arg x + log(1/EPS)
           < Re x <
       (1-Re sigma) log|x| + Im sigma * arg x - log(1/EPS).
     """
     x = complex(x)
-    if x == 0:
-        return False
-    return _in_strip(p, x, _branched(x, arg_x).tracked_arg)
-
-
-def _in_strip(p: Parameters, x: complex, ax: float) -> bool:
-    """domain_check for a nonzero x whose argument ``ax`` is already tracked."""
-    if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - 0.1:
-        return False
-    if abs(x) <= 20.0:
+    ax = cmath.phase(x)
+    if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - 0.1 or abs(x) <= 20.0:
         return False
     lx = math.log(abs(x))
     leps = math.log(1.0 / EPS)
@@ -201,6 +192,31 @@ def _in_strip(p: Parameters, x: complex, ax: float) -> bool:
     lo = -(1.0 + s.real) * lx + s.imag * ax + leps
     hi = (1.0 - s.real) * lx + s.imag * ax - leps
     return lo < x.real < hi
+
+
+def axis_radii(p: Parameters) -> tuple[float, float] | None:
+    """The radii r for which x = i r passes ``domain_check``: the open
+    interval (lo, hi), or None when it is empty.  On the axis its two
+    inequalities read (1 + Re sigma) log r > Im sigma * pi/2 + log(1/EPS)
+    and (1 - Re sigma) log r > log(1/EPS) - Im sigma * pi/2, beside
+    r > 20; an end beyond the largest float counts as inf."""
+    s, leps = complex(p.sigma), math.log(1.0 / EPS)
+    lo, hi = -math.inf, math.inf  # bounds on log r
+    for slope, bound in (
+        (1.0 + s.real, s.imag * math.pi / 2.0 + leps),
+        (1.0 - s.real, leps - s.imag * math.pi / 2.0),
+    ):
+        if slope > 0.0:
+            lo = max(lo, bound / slope)
+        elif slope < 0.0:
+            hi = min(hi, bound / slope)
+        elif bound >= 0.0:
+            return None
+    top = math.log(sys.float_info.max)
+    lo, hi = max(math.log(20.0), min(lo, top)), min(hi, top)
+    if lo >= hi:
+        return None
+    return max(20.0, math.exp(lo)), (math.exp(hi) if hi < top else math.inf)
 
 
 def smallness_score(p: Parameters) -> float:
@@ -261,15 +277,18 @@ _L2_RHS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _l2_plan(degree: int):
     """The solve to total degree ``degree`` as a list of steps (slot,
-    divisor, linear, bilinear).
+    divisor, linear, bilinear), built on first use: about 1 ms at degree
+    3, 6.5 ms at 5 and 88 ms at 12.
 
     A step sets c[slot] = (sum of coef[i] * c[j] over ``linear`` + sum of
-    w * c[j] * c[k] over each group (w, pairs) of ``bilinear``) / divisor.
-    Every coef is q*sigma + r + u*a + v*b for one (q, r, u, v) of the
-    returned coefficient basis.  Terms that vanish for every parameter
-    set are left out.
+    w * (c[j0] * c[k0] + sum of c[j] * c[k] over rest) over each group
+    (w, j0, k0, rest) of ``bilinear``) / divisor.  Every coef is
+    q*sigma + r + u*a + v*b for one (q, r, u, v) of the returned
+    coefficient basis.  Terms that vanish for every parameter set are
+    left out.
     """
     terms = _terms(degree)
     nt = len(terms)
@@ -296,7 +315,7 @@ def _l2_plan(degree: int):
         if not (linear or bilinear):
             return []
         target = (y, (n, j + 1)) if n else (y, (0, j))
-        groups = tuple((w, tuple(ps)) for w, ps in bilinear.items())
+        groups = tuple((w, *ps[0], tuple(ps[1:])) for w, ps in bilinear.items())
         steps.append((slot[target], divisor, tuple(linear), groups))
         return [target]
 
@@ -314,98 +333,82 @@ def _l2_plan(degree: int):
     return tuple(steps), tuple(sorted(coefs, key=coefs.get))
 
 
-def _compile_plan(plan, degree: int):
-    """Straight-line Python for ``plan`` (the solve to ``degree``): the
-    same arithmetic in the same order as stepping through it, in about two
-    thirds of the time.  The solve runs once per parameter set, so it is
-    on the path of every scan of a parameter box."""
-    nt = len(_terms(degree))
-    seeds = [y * nt for y in (_FP, _GP, _FM, _GM)]
-    lines = [f"def solve(coef, {', '.join(f'c{i}' for i in seeds)}):"]
-    known = set(seeds)
-    for target, divisor, linear, bilinear in plan:
-        terms = [f"coef[{i}] * c{j}" for i, j in linear]
-        terms += [
-            f"{w} * ({' + '.join(f'c{j} * c{k}' for j, k in pairs)})"
-            for w, pairs in bilinear
-        ]
-        lines.append(f"    c{target} = ({' + '.join(terms)}) / {divisor}")
-        known.add(target)
-    values = ", ".join(f"c{i}" if i in known else "0j" for i in range(5 * nt))
-    lines.append(f"    return [{values}]")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["solve"]
+def _l2_solve(p: Parameters, degree: int) -> list:
+    """c[n, k] as one flat list, rows dl, Fp, Gp, Fm, Gm and columns in
+    ``_terms(degree)`` order, by stepping through ``_l2_plan(degree)`` in
+    plain arithmetic on the parameters' own number type.
 
-
-@functools.lru_cache(maxsize=None)
-def _solver(degree: int):
-    """The compiled solve to ``degree`` and its coefficient basis, built
-    on first use: compiling is what costs time and memory, about 4 ms at
-    degree 3 and 12 ms at degree 5."""
-    plan, coef_basis = _l2_plan(degree)
-    return _compile_plan(plan, degree), coef_basis
-
-
-@functools.lru_cache(maxsize=16)
-def _l2_coefficients(p: Parameters, degree: int = _L2_DEGREE) -> np.ndarray:
-    """Read-only (5, (degree+1)^2) array of c[n, k]: rows dl, Fp, Gp, Fm,
-    Gm, columns in ``_terms(degree)`` order.  Cached per parameter set,
-    since callers evaluate one family at several points."""
-    solve, coef_basis = _solver(degree)
+    Each sum starts at its first term: a start of 0j would turn an
+    imaginary part of -0.0 into +0.0.
+    """
+    steps, coef_basis = _l2_plan(degree)
+    nt = (degree + 1) ** 2
     g = gamma_quad(p)
     s, ti = p.sigma, p.thetainf
     a, b = (s + ti) / 2.0, (s - ti) / 2.0
     coef = [q * s + r + u * a + v * b for q, r, u, v in coef_basis]
-    out = np.array(solve(coef, g.g0p, g.gxp, g.g0m, g.gxm))
-    out = out.reshape(5, (degree + 1) ** 2)
+    c = [0j] * (5 * nt)
+    c[nt], c[2 * nt], c[3 * nt], c[4 * nt] = g.g0p, g.gxp, g.g0m, g.gxm
+    for target, divisor, linear, bilinear in steps:
+        acc = None
+        for i, j in linear:
+            term = coef[i] * c[j]
+            acc = term if acc is None else acc + term
+        for w, j0, k0, rest in bilinear:
+            part = c[j0] * c[k0]
+            for j, k in rest:
+                part += c[j] * c[k]
+            acc = w * part if acc is None else acc + w * part
+        c[target] = acc / divisor
+    return c
+
+
+@functools.lru_cache(maxsize=16)
+def _l2_coefficients(p: Parameters, degree: int = _L2_DEGREE) -> np.ndarray:
+    """Read-only (5, (degree+1)^2) array of ``_l2_solve(p, degree)``.
+    Cached per parameter set, since callers evaluate one family at
+    several points."""
+    out = np.array(_l2_solve(p, degree)).reshape(5, (degree + 1) ** 2)
     out.setflags(write=False)
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _monomials(degree: int):
-    """Straight-line Python for the terms E^n x^-k at one point, in
-    ``_terms(degree)`` order, as E+^n x^-k (n >= 0) or E-^-n x^-(k+2n)
-    (n < 0): a power of E+ or E- times a power of 1/x.  Powers come from
-    repeated multiplication, and a mixed term is one product of two
-    powers."""
-
-    def power(base, k):
-        return base if k == 1 else f"{base}{k}"
-
-    lines = ["def monomials(ep, em, ix):"]
-    for base in ("ep", "em", "ix"):
-        lines += [f"    {power(base, k)} = {power(base, k - 1)} * {base}" for k in range(2, degree + 1)]
-    terms = []
-    for n, k in _terms(degree):
-        a, j = abs(n), n + k - abs(n)  # powers of E+- and of 1/x
-        e, i = power("em" if n < 0 else "ep", a), power("ix", j)
-        terms.append("1.0" if a == j == 0 else e if j == 0 else i if a == 0 else f"{e} * {i}")
-    lines.append(f"    return np.array([{', '.join(terms)}])")
-    namespace: dict = {"np": np}
-    exec("\n".join(lines), namespace)
-    return namespace["monomials"]
-
-
-_L2_MONOMIALS = _monomials(_L2_DEGREE)
+def _basis(ep: complex, em: complex, ix: complex, degree: int) -> np.ndarray:
+    """The terms E^n x^-k at one point, in ``_terms(degree)`` order, as
+    E+^n x^-k (n >= 0) or E-^-n x^-(k+2n) (n < 0): a power of E+ or E-
+    times a power of 1/x.  Powers come from repeated
+    multiplication, and a mixed term is one product of two powers."""
+    pe, pm, pi = [1.0, ep], [1.0, em], [1.0, ix]
+    for _ in range(2, degree + 1):
+        pe.append(pe[-1] * ep)
+        pm.append(pm[-1] * em)
+        pi.append(pi[-1] * ix)
+    terms = [1.0]
+    for d in range(1, degree + 1):  # n = -d, ..., d
+        terms.append(pm[d])
+        for a in range(d - 1, 0, -1):
+            terms.append(pm[a] * pi[d - a])
+        terms.append(pi[d])
+        for a in range(1, d):
+            terms.append(pe[a] * pi[d - a])
+        terms.append(pe[d])
+    return np.array(terms)
 
 
 def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
     """f0 and the normalized Fp, Gp, Fm, Gm at one point (see above) from
     every term of total degree <= ``degree``, with the coefficients and
     the terms E^n x^-k they sum."""
-    monomials = _L2_MONOMIALS if degree == _L2_DEGREE else _monomials(degree)
-    coefs, basis = _l2_coefficients(p, degree), monomials(ep, em, ix)
+    coefs, basis = _l2_coefficients(p, degree), _basis(ep, em, ix, degree)
     dl, fp, gp, fm, gm = (coefs @ basis).tolist()
     return ((p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm), coefs, basis
 
 
-def _expansion(p: Parameters, x: complex, arg_x, check_domain: bool):
-    """The branched log of x and e^x, E+, E-, 1/x there, after the strip
-    check."""
-    bl = _branched(x, arg_x)
-    if check_domain and not _in_strip(p, x, bl.tracked_arg):
+def _expansion(p: Parameters, x: complex):
+    """The principal-branch log of x and e^x, E+, E-, 1/x there, after
+    the strip check."""
+    bl = BranchedLog.from_point(x)
+    if not domain_check(p, x):
         raise DomainError(f"x = {x} outside the admissible strip (eps = {EPS})")
     ex = cmath.exp(x)
     x_s1 = branched_power(bl, p.sigma - 1.0)  # x^(sigma-1)
@@ -435,21 +438,14 @@ def _ab_pair(p, x, bl, ex, f0, fp, gp, fm, gm) -> ABPair:
         gplus=gplus,
         gminus=gminus,
         x=x,
-        arg_x=bl.tracked_arg,
     )
 
 
-def series_A_pair(
-    p: Parameters,
-    x: complex,
-    *,
-    arg_x: float | None = None,
-    check_domain: bool = True,
-) -> ABPair:
+def series_A_pair(p: Parameters, x: complex) -> ABPair:
     """Evaluate the generic three-parameter series at x from every term
     of total degree <= 3 (see the module docstring)."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x, arg_x, check_domain)
+    bl, ex, ep, em, ix = _expansion(p, x)
     return _ab_pair(p, x, bl, ex, *_l2_components(p, ep, em, ix)[0])
 
 
@@ -461,7 +457,7 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     of the sum (at 250i and degree 5, by 30-50x against a degree-12
     series).  Raises DomainError outside the admissible strip."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x, None, True)
+    bl, ex, ep, em, ix = _expansion(p, x)
     components, coefs, basis = _l2_components(p, ep, em, ix, degree)
     ab = _ab_pair(p, x, bl, ex, *components)
     top = degree * degree  # the terms of total degree `degree` come last
@@ -470,13 +466,7 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     return ab.A0, ab.Ax, truncation
 
 
-def series_A_pair_degenerate(
-    p: Parameters,
-    x: complex,
-    kind: DegenerateKind,
-    *,
-    arg_x: float | None = None,
-) -> ABPair:
+def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) -> ABPair:
     """Evaluate the degenerate families at sigma = -2*thetax - thetainf.
 
     TWO_PARAM keeps cx free (single exponential series in E+); ONE_PARAM
@@ -484,7 +474,7 @@ def series_A_pair_degenerate(
     printed leading terms are evaluated.
     """
     x = complex(x)
-    bl = _branched(x, arg_x)
+    bl = BranchedLog.from_point(x)
     t0, tx, ti = p.theta0, p.thetax, p.thetainf
     s0 = -2.0 * tx - ti
 
@@ -544,5 +534,4 @@ def series_A_pair_degenerate(
         gplus=gplus,
         gminus=gminus,
         x=x,
-        arg_x=bl.tracked_arg,
     )

@@ -56,7 +56,7 @@ def dlog_tau(s: FlowState) -> complex:
     return form_a
 
 
-def dlog_tau_series(p: Parameters, x: complex, *, check_domain: bool = True) -> complex:
+def dlog_tau_series(p: Parameters, x: complex) -> complex:
     """Printed terms of the expansion:
 
         -(sigma+thetainf)/4 - (sigma^2-thetainf^2)/(8x)
@@ -64,7 +64,7 @@ def dlog_tau_series(p: Parameters, x: complex, *, check_domain: bool = True) -> 
 
     The x^-2 constant term and all later brackets are intentionally not
     included; the leading omitted term is O(x^-2)."""
-    if check_domain and not domain_check(p, x):
+    if not domain_check(p, x):
         raise PvisoValueError(f"x = {x} outside the admissible strip")
     g = gamma_quad(p)
     s, ti = p.sigma, p.thetainf

@@ -105,7 +105,7 @@ def yzu_from_matrices(s: FlowState) -> PVPoint:
     return PVPoint(y=complex(y), z=complex(z), u=complex(u), pole=pole)
 
 
-def y_series(p: Parameters, x: complex, *, check_domain: bool = True) -> complex:
+def y_series(p: Parameters, x: complex) -> complex:
     """Printed leading series: y = c e^x x^sigma (1 + a1 E+ + b1 E-) with
     a1 = c(-sigma+theta0+thetax)/2, b1 = (sigma+theta0+thetax)/(2c).
     Relative truncation error O(1/x)."""
@@ -114,7 +114,7 @@ def y_series(p: Parameters, x: complex, *, check_domain: bool = True) -> complex
     for excl in (-2.0 * t0 + p.thetainf, 2.0 * tx - p.thetainf):
         if abs(s - excl) < 1e-9:
             raise ResonanceError(f"sigma = {s} hits the excluded value {excl}")
-    if check_domain and not domain_check(p, x):
+    if not domain_check(p, x):
         raise PvisoValueError(f"x = {x} outside the admissible strip")
     a1 = c * (-s + t0 + tx) / 2.0
     b1 = (s + t0 + tx) / (2.0 * c)

@@ -355,6 +355,19 @@ def test_non_finite_closed_form_exit_code(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_seed_outside_strip_names_sigma(tmp_path, capsys):
+    # near Re sigma = +-1 the strip holds the axis only beyond 1e100, and
+    # at sigma = 3 nowhere: the seed fails with a message about sigma,
+    # not about a seed radius the user never gave
+    cfg = _write(tmp_path, P1_CFG)
+    for sigma, held in (("0.99", "(1e+100, inf)"), ("3", "no point"), ("-0.99", "(1e+100, inf)")):
+        rc, doc = _run(tmp_path, ["--config", cfg, "--sigma", sigma, "monodromy"])
+        assert rc == 2 and doc is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sigma = ({sigma}+0j): ") and held in err, err
+        assert "Traceback" not in err
+
+
 def test_cheap_commands_exit_code_contract():
     # any complex parameters, over many magnitudes: braid and the
     # unrefined lattices exit 0, 2, 3 or 4, and on 0 print strict JSON

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pviso import flow
-from pviso.errors import OriginError, PathError, PvisoValueError
+from pviso.errors import DomainError, OriginError, PathError, PvisoValueError
 from pviso.flow import (
     FlowState,
     _flow_field,
@@ -10,10 +12,11 @@ from pviso.flow import (
     integrate,
     refine_from_series,
     rhs,
+    seed_at,
     seed_state,
 )
 from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
-from pviso.series import Parameters, series_A_pair, series_seed
+from pviso.series import Parameters, axis_radii, domain_check, series_A_pair, series_seed
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
@@ -201,6 +204,25 @@ def test_seed_state_off_axis():
         assert seed.state.x == x and seed.seed_radius >= abs(x)
         assert mat_norm(seed.state.A0 - reference.A0) <= 5e-10
         assert mat_norm(seed.state.Ax - reference.Ax) <= 5e-10
+
+
+def test_seed_outside_strip_states_axis_radii():
+    # sigma = 1.5 + 4i: the strip holds i r for 31.0 < r < 2867.5; a seed
+    # asked for beyond it fails with that interval, whose finite ends are
+    # where domain_check flips
+    p = P1.replace(sigma=1.5 + 4j)
+    lo, hi = axis_radii(p)
+    with pytest.raises(DomainError) as info:
+        seed_at(p, 4000j)
+    assert f"r in ({lo:.6g}, {hi:.6g})" in str(info.value) and "sigma" in str(info.value)
+    for end in (lo, hi):
+        below, above = domain_check(p, 1j * end * (1 - 1e-9)), domain_check(p, 1j * end * (1 + 1e-9))
+        assert (below, above) == ((False, True) if end == lo else (True, False))
+    # P1: only r > 20 bounds it; sigma = 3: no radius at all
+    assert axis_radii(P1) == (20.0, math.inf)
+    assert not domain_check(P1, 20j) and domain_check(P1, 20.001j) and domain_check(P1, 1e8j)
+    p3 = P1.replace(sigma=3.0)
+    assert axis_radii(p3) is None and not any(domain_check(p3, 1j * r) for r in (25.0, 1e3, 1e10))
 
 
 def test_seed_state_rejects_small_x():

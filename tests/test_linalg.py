@@ -87,6 +87,10 @@ def test_branched_power_examples():
     ie = BranchedLog.from_point(1j * math.e)
     expected = math.exp(-math.pi / 2.0) * (math.cos(1.0) + 1j * math.sin(1.0))
     assert abs(branched_power(ie, 1j) - expected) < 1e-14
+    # one turn past the principal branch of i: the square root changes sign
+    turned = BranchedLog(0.0, math.pi / 2.0 + 2.0 * math.pi)
+    assert abs(turned.point - 1j) < 1e-14
+    assert abs(branched_power(turned, 0.5) + cmath.exp(0.25j * math.pi)) < 1e-14
 
 
 def test_branched_power_additivity():
@@ -95,7 +99,10 @@ def test_branched_power_additivity():
         z = complex(rng.randn(), rng.randn())
         if abs(z) < 1e-3:
             continue
-        base = BranchedLog.from_point(z, arg_hint=rng.uniform(-9, 9))
+        # the branch of arg z nearest a random argument in (-9, 9)
+        a = cmath.phase(z)
+        a += 2.0 * math.pi * round((rng.uniform(-9, 9) - a) / (2.0 * math.pi))
+        base = BranchedLog(math.log(abs(z)), a)
         a = complex(rng.randn(), rng.randn())
         b = complex(rng.randn(), rng.randn())
         lhs = branched_power(base, a + b)

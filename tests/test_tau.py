@@ -36,14 +36,14 @@ def test_dlog_tau_two_forms_agree(state40):
 
 
 def test_series_leading_constant():
-    val = dlog_tau_series(P1, 1e6j, check_domain=False)
+    val = dlog_tau_series(P1, 1e6j)
     assert abs(val + (P1.sigma + P1.thetainf) / 4.0) < 1e-5
 
 
 def test_series_forced_zeros():
     p = P1.replace(sigma=-P1.thetainf)
-    v1 = dlog_tau_series(p, 1e5j, check_domain=False)
-    v2 = dlog_tau_series(p, 2e5j, check_domain=False)
+    v1 = dlog_tau_series(p, 1e5j)
+    v2 = dlog_tau_series(p, 2e5j)
     # constant and 1/x coefficient both vanish; only exponential tails left
     assert abs(v1) < 1e-8 and abs(v2) < 1e-8
 
