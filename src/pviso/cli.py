@@ -112,6 +112,11 @@ def _positive(v) -> float:
     return f if math.isfinite(f) and f > 0.0 else _reject(v, "a finite number > 0")
 
 
+def _integer(v) -> int:
+    fraction = isinstance(v, float) and not v.is_integer()
+    return _reject(v, "an integer") if isinstance(v, bool) or fraction else int(v)
+
+
 # option -> coercion of its value, given by flag or in the config's
 # "options"; every given option is coerced before a command runs, so a
 # malformed value is a config error
@@ -120,12 +125,12 @@ _OPTIONS = {
     "x_points": lambda v: [_w2c(z) for z in v] or _reject(v, "a non-empty list"),
     "tol": _positive,
     "radius": _positive,
-    "m_from": int,
-    "m_to": int,
+    "m_from": _integer,
+    "m_to": _integer,
     "root_tol": _positive,
     "refine": lambda v: v if isinstance(v, bool) else _reject(v, "true or false"),
     "h_values": lambda v: [_positive(h) for h in v],
-    "steps": int,
+    "steps": _integer,
     "monodromy_tol": _positive,
     "monodromy": lambda v: (_w2m(v["M0"]), _w2m(v["Mx"])),
 }

@@ -22,7 +22,7 @@ from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
 from .series import EPS, Parameters, axis_radii, series_seed
 
-__all__ = ["FlowState", "RefineResult", "Seed", "rhs", "integrate", "ray_stencil",
+__all__ = ["FlowState", "Seed", "rhs", "integrate", "ray_stencil",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
@@ -67,13 +67,8 @@ class FlowState:
         }
 
 
-class RefineResult(NamedTuple):
-    state: FlowState
-    diagnostic: float
-
-
 class Seed(NamedTuple):
-    """A state from ``seed_state`` or ``seed_at`` and how it was seeded."""
+    """A seeded state and how it was seeded."""
 
     state: FlowState
     seed_radius: float  # the series was evaluated at i*seed_radius
@@ -120,6 +115,11 @@ def _segment_distance(a: complex, b: complex) -> float:
     return abs(a + t * d)
 
 
+def _drift_budget(A0: np.ndarray, Ax: np.ndarray, tol: float) -> float:
+    """The drift ``integrate`` allows and the truncation ``seed_at`` accepts."""
+    return 100.0 * tol * (1.0 + mat_norm(A0) + mat_norm(Ax))
+
+
 def _transport_segment(x0, A0, Ax, x1, tol):
     length = abs(x1 - x0)
     y0 = [*A0.ravel().tolist(), *Ax.ravel().tolist()]
@@ -144,7 +144,7 @@ def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
     out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params, validate=False)
     before = s.invariants()
     after = out.invariants()
-    budget = 100.0 * tol * (1.0 + mat_norm(s.A0) + mat_norm(s.Ax))
+    budget = _drift_budget(s.A0, s.Ax, tol)
     for key in before:
         drift = abs(after[key] - before[key])
         if drift > budget:
@@ -167,48 +167,6 @@ def ray_stencil(s: FlowState, x: complex, h: float, half_width: int, tol: float)
     return states, h * unit
 
 
-def _project_eigenvalue_constraints(A: np.ndarray, theta: complex) -> np.ndarray:
-    """Nudge the off-diagonal pair so det A = -theta^2/4 holds exactly.
-
-    The determinant conditions are exact identities of the true family
-    and are conserved by the flow, so enforcing them at the seed removes
-    the truncation defect from every downstream conserved quantity (in
-    particular the numeric monodromy traces match the local exponents
-    exactly).  The correction is the minimum-norm change of (A01, A10)
-    reaching the target product, well inside the truncation-error ball.
-    """
-    out = A.copy()
-    # det A = A00 A11 - A01 A10 = -theta^2/4
-    prod_target = A[0, 0] * A[1, 1] + (theta * theta) / 4.0
-    for _ in range(3):
-        a01, a10 = out[0, 1], out[1, 0]
-        delta = prod_target - a01 * a10
-        if delta == 0:
-            break
-        w = abs(a01) ** 2 + abs(a10) ** 2
-        if w == 0 or abs(delta) > 0.01 * w:
-            return A  # degenerate off-diagonal: leave the seed untouched
-        out[0, 1] = a01 + delta * np.conj(a10) / w
-        out[1, 0] = a10 + delta * np.conj(a01) / w
-    return out
-
-
-def _projected_state(p: Parameters, x: complex, A0: np.ndarray, Ax: np.ndarray) -> FlowState:
-    """The series pair at x nudged onto the exact determinant constraints
-    det A0 = -theta0^2/4, det Ax = -thetax^2/4."""
-    A0 = _project_eigenvalue_constraints(A0, p.theta0)
-    Ax = _project_eigenvalue_constraints(Ax, p.thetax)
-    return FlowState(x=x, A0=A0, Ax=Ax, params=p, validate=False)
-
-
-def _series_state(p: Parameters, radius: float, degree: int) -> tuple[FlowState, float]:
-    """The projected series state of total degree ``degree`` at x = i*radius
-    and its seed truncation (``series.series_seed``)."""
-    x = 1j * radius
-    A0, Ax, truncation = series_seed(p, x, degree)
-    return _projected_state(p, x, A0, Ax), truncation
-
-
 def refine_from_series(
     p: Parameters,
     seed_radius: float,
@@ -216,25 +174,21 @@ def refine_from_series(
     tol: float = 1e-12,
     *,
     diagnostics: bool = True,
-) -> RefineResult:
+) -> Seed:
     """Seed the pair from the series at x = i*seed_radius and transport
     to ``x_target``, which must satisfy |x| >= 20.
 
-    The seed is the series with every coefficient up to total degree 3,
-    nudged onto the exact determinant constraints
-    det A0 = -theta0^2/4, det Ax = -thetax^2/4 before the transport.
-    The returned diagnostic is the seed truncation of ``series_seed``
-    at degree 3, which ``series_seed`` always computes; it overestimates
-    the seed error.  ``diagnostics`` is ignored and kept only for
-    callers that still pass it.
+    The seed is the series pair with every coefficient up to total
+    degree 3, as ``series_seed`` returns it, and its seed truncation
+    overestimates the seed error.  ``diagnostics`` is ignored and kept
+    only for callers that still pass it.
     """
-    x_target = complex(x_target)
     if abs(x_target) < 20.0:
         raise PathError("refinement target should satisfy |x| >= 20")
-    state, truncation = _series_state(p, float(seed_radius), 3)
-    if state.x != x_target:
-        state = integrate(state, x_target, tol)
-    return RefineResult(state=state, diagnostic=truncation)
+    radius = float(seed_radius)
+    A0, Ax, truncation = series_seed(p, 1j * radius, 3)
+    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p, validate=False)
+    return Seed(integrate(state, x_target, tol), radius, 3, truncation)
 
 
 def _axis_message(p: Parameters, first: float, last: float) -> str:
@@ -257,31 +211,31 @@ def seed_state(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
 
 
 def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
-    """The state at x from the series of total degree ``SEED_DEGREE`` on
-    the axis, projected as in ``refine_from_series``.  Unlike
-    ``seed_state`` it puts no bound on |x|; the zero/pole lattice
-    anchors its top root, which can lie below 20i, with it.
+    """The state at x from the series pair of total degree ``SEED_DEGREE``
+    on the axis, transported to x.  Unlike ``seed_state`` it puts no
+    bound on |x|; the zero/pole lattice anchors its top root, which can
+    lie below 20i, with it.
 
     The series is evaluated at i|x| when that point lies in its
-    admissible strip and the seed truncation is within the drift budget
-    100 tol (1 + |A0| + |Ax|) that ``integrate`` applies.  Otherwise it
-    is evaluated at 2i|x|, 4i|x|, ... up to max(300, 2|x|), where it is
-    taken whatever its truncation.  The transport costs about 80 field
-    evaluations per unit of length, so each doubling that passes saves
-    most of the way from max(300, 2|x|).  For x = i r, |x| is r exactly.
-    If that one fails the strip too, the DomainError names sigma and
-    the radii on the axis that the strip holds.
+    admissible strip and the seed truncation is within the pair's drift
+    budget 100 tol (1 + |A0| + |Ax|), which ``integrate`` applies.
+    Otherwise it is evaluated at 2i|x|, 4i|x|, ... up to max(300, 2|x|),
+    where it is taken whatever its truncation.  The transport costs about
+    80 field evaluations per unit of length, so each doubling that passes
+    saves most of the way from max(300, 2|x|).  For x = i r, |x| is r
+    exactly.  If that one fails the strip too, the DomainError names
+    sigma and the radii on the axis that the strip holds.
     """
     radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:
-            state, truncation = _series_state(p, radius, SEED_DEGREE)
+            A0, Ax, truncation = series_seed(p, 1j * radius, SEED_DEGREE)
         except DomainError as exc:
             if radius == ceiling:
                 raise DomainError(_axis_message(p, abs(x), ceiling)) from exc
         else:
-            budget = 100.0 * tol * (1.0 + mat_norm(state.A0) + mat_norm(state.Ax))
-            if truncation <= budget or radius == ceiling:
+            if truncation <= _drift_budget(A0, Ax, tol) or radius == ceiling:
                 break
         radius = min(2.0 * radius, ceiling)
+    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p, validate=False)
     return Seed(integrate(state, x, tol), radius, SEED_DEGREE, truncation)

@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, PvisoValueError
-from .flow import FlowState, ray_stencil, seed_state
+from .flow import FlowState, ray_stencil
 from .series import Parameters, domain_check, gamma_quad
 
 __all__ = ["TauSample", "dlog_tau", "dlog_tau_series", "tau_sample", "bilinear_residual"]
@@ -84,15 +84,13 @@ def tau_sample(
     x: complex,
     h: float = 1e-2,
     *,
-    state: FlowState | None = None,
+    state: FlowState,
     tol: float = 1e-12,
 ) -> TauSample:
     """Sample (log tau)' at x together with finite-difference estimates
     of the second through fourth log-derivatives.  The stencil starts
-    from ``state`` when given, otherwise from ``flow.seed_state`` at x."""
+    from ``state``, a state near x."""
     x = complex(x)
-    if state is None:
-        state = seed_state(p, x, tol).state
     states, step = ray_stencil(state, x, h, 2, tol)
     hm2, hm1, h0, hp1, hp2 = map(dlog_tau, states)
     d1 = (hp1 - hm1) / (2.0 * step)
@@ -106,7 +104,7 @@ def bilinear_residual(
     x: complex,
     h: float = 1e-2,
     *,
-    state: FlowState | None = None,
+    state: FlowState,
     tol: float = 1e-12,
 ) -> complex:
     """Residual of the fourth-order bilinear equation divided by tau^2.
@@ -121,11 +119,9 @@ def bilinear_residual(
 
     H and its derivatives come from ``tau_sample``: second-order
     centered differences on a 5-point stencil along the ray, from
-    ``state`` when given, otherwise from ``flow.seed_state`` at x.
+    ``state``, a state near x.
     """
     x = complex(x)
-    if state is None:
-        state = seed_state(p, x, tol).state
     sample = tau_sample(p, x, h, state=state, tol=tol)
     r1 = h0 = sample.dlogtau
     d1, d2, d3 = sample.higher_derivs

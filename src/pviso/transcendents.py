@@ -26,7 +26,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_at, seed_state
+from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_at
 from .series import Parameters, domain_check, smallness_score
 
 __all__ = [
@@ -148,18 +148,14 @@ def pv_residual(
     x: complex,
     h: float = 1e-3,
     *,
-    state: FlowState | None = None,
+    state: FlowState,
     tol: float = 1e-12,
 ) -> float:
     """Absolute residual of the second-order Painleve V equation at x,
     with y', y'' from centered differences of the flow-transported y.
-
-    The stencil starts from ``state`` when given (a state near x),
-    otherwise from ``flow.seed_state`` at x.
+    The stencil starts from ``state``, a state near x.
     """
     x = complex(x)
-    if state is None:
-        state = seed_state(p, x, tol).state
     states, step = ray_stencil(state, x, h, 1, tol)
     ym1, y0, yp1 = ys = [yzu_from_matrices(st).y for st in states]
     if not all(abs(y) < 1e12 for y in ys):  # a flagged pole reads inf

@@ -201,8 +201,16 @@ def test_zero_c0_braid_exit_code():
 
 
 def test_malformed_option_exit_code(tmp_path):
-    cfg = _write(tmp_path, dict(P1_CFG, options={"tol": "x"}))
-    assert main(["--config", cfg, "monodromy"]) == 2
+    # an integer option takes no bool and no fraction from a config
+    for opts, command in (
+        ({"tol": "x"}, "monodromy"),
+        ({"steps": 2.9}, "braid"),
+        ({"steps": math.inf}, "braid"),
+        ({"m_from": True, "m_to": 3, "refine": False}, "zeros"),
+        ({"m_from": 1, "m_to": 3.7, "refine": False}, "poles"),
+    ):
+        cfg = _write(tmp_path, dict(P1_CFG, options=opts))
+        assert main(["--config", cfg, command]) == 2, opts
 
 
 def test_nan_parameter_exit_code():

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pviso import flow
 from pviso.errors import DomainError, OriginError, PathError, PvisoValueError
 from pviso.flow import (
     FlowState,
     _flow_field,
-    _project_eigenvalue_constraints,
     integrate,
     refine_from_series,
     rhs,
@@ -21,6 +19,8 @@ from pviso.series import Parameters, axis_radii, domain_check, series_A_pair, se
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
 )
+P8Z = Parameters(theta0=0.45, thetax=0.05, thetainf=0.1, c0=1.0, cx=0.05, sigma=0.1)
+P8P = Parameters(theta0=0.05, thetax=0.45, thetainf=0.1, c0=1.0, cx=25.0, sigma=0.3)
 
 
 def _series_state(p, x):
@@ -109,8 +109,8 @@ def test_flow_matches_series_within_truncation():
     # the series evaluated at the target is an oracle for the transport:
     # the degree-5 state at 200i carried to 60i lies within the degree-5
     # series' own truncation there (gap 5.9e-11, truncation 6.6e-10)
-    state, _ = flow._series_state(P1, 200.0, 5)
-    out = integrate(state, 60j, 1e-12)
+    A0, Ax, _ = series_seed(P1, 200j, 5)
+    out = integrate(FlowState(x=200j, A0=A0, Ax=Ax, params=P1, validate=False), 60j, 1e-12)
     A0, Ax, truncation = series_seed(P1, 60j, 5)
     assert max(mat_norm(out.A0 - A0), mat_norm(out.Ax - Ax)) <= truncation
 
@@ -158,15 +158,23 @@ def test_flow_stays_bounded_on_axis():
 
 
 def test_refine_noop_at_seed():
-    # at the seed point the state is the projected series pair, which
-    # moves only within the det-defect ball
-    res = refine_from_series(P1, 200.0, 200j, 1e-12)
-    ab = series_A_pair(P1, 200j)
-    assert mat_norm(res.state.A0 - _project_eigenvalue_constraints(ab.A0, P1.theta0)) == 0.0
-    assert mat_norm(res.state.Ax - _project_eigenvalue_constraints(ab.Ax, P1.thetax)) == 0.0
-    defect = abs(det2(res.state.A0) + P1.theta0**2 / 4.0)
-    assert defect < 1e-14
-    assert mat_norm(res.state.A0 - ab.A0) < 1e-6
+    # at the seed point the state is the degree-3 series pair itself
+    seed = refine_from_series(P1, 200.0, 200j, 1e-12)
+    A0, Ax, truncation = series_seed(P1, 200j, 3)
+    assert seed.state.A0.tobytes() == A0.tobytes() and seed.state.Ax.tobytes() == Ax.tobytes()
+    assert seed[1:] == (200.0, 3, truncation)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("p", [P1, P8Z, P8P], ids=["P1", "P8Z", "P8P"])
+def test_seed_det_defect_within_truncation(p, degree):
+    # the seed is not nudged onto det A0 = -theta0^2/4, det Ax = -thetax^2/4;
+    # its defect is a small part of the seed truncation (at most 3.7e-3 of
+    # it on these sets, P8Z at 40i, degree 3)
+    for r in (40.0, 80.0, 160.0, 250.0, 400.0):
+        A0, Ax, truncation = series_seed(p, 1j * r, degree)
+        for A, theta in ((A0, p.theta0), (Ax, p.thetax)):
+            assert abs(det2(A) + theta**2 / 4.0) <= 1e-2 * truncation, (r, theta)
 
 
 def test_refine_zero_solution():
@@ -174,14 +182,14 @@ def test_refine_zero_solution():
     res = refine_from_series(p, 400.0, 40j, 1e-12)
     assert mat_norm(res.state.A0) < 1e-13
     assert mat_norm(res.state.Ax) < 1e-13
-    assert res.diagnostic < 1e-13
+    assert res.seed_truncation < 1e-13
 
 
 def test_refine_convergence_diagnostic():
-    # the diagnostic is the degree-3 seed truncation at the seed point
+    # the reported truncation is the degree-3 one at the seed point
     res = refine_from_series(P1, 400.0, 40j, 1e-12)
-    assert res.diagnostic == series_seed(P1, 400j, 3)[2]
-    assert res.diagnostic <= 1e-6
+    assert res.seed_truncation == series_seed(P1, 400j, 3)[2]
+    assert res.seed_truncation <= 1e-6
 
 
 def test_refine_waypoint_polyline():
