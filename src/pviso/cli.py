@@ -92,15 +92,18 @@ def _params_from_config(cfg: dict, args) -> Parameters:
     missing = [k for k in _PARAM_KEYS if k not in raw]
     if missing:
         raise PvisoValueError(f"missing parameters: {', '.join(missing)}")
-    values = {k: _w2c(raw[k]) for k in _PARAM_KEYS}
-    for k, v in values.items():
-        if not cmath.isfinite(v):
-            raise PvisoValueError(f"parameter {k} is not finite: {v}")
-    return Parameters(**values)
+    return Parameters(**{k: _finite(raw[k], f"parameter {k}") for k in _PARAM_KEYS})
 
 
 def _params_to_wire(p: Parameters) -> dict:
     return {k: _c2w(getattr(p, k)) for k in _PARAM_KEYS}
+
+
+def _finite(v, name: str) -> complex:
+    z = _w2c(v)
+    if not cmath.isfinite(z):
+        raise PvisoValueError(f"{name} is not finite: {z}")
+    return z
 
 
 def _reject(v, what: str):
@@ -121,8 +124,9 @@ def _integer(v) -> int:
 # "options"; every given option is coerced before a command runs, so a
 # malformed value is a config error
 _OPTIONS = {
-    "x": _w2c,
-    "x_points": lambda v: [_w2c(z) for z in v] or _reject(v, "a non-empty list"),
+    "x": lambda v: _finite(v, "option x"),
+    "x_points": lambda v: [_finite(z, "option x_points") for z in v]
+    or _reject(v, "a non-empty list"),
     "tol": _positive,
     "radius": _positive,
     "m_from": _integer,
@@ -254,7 +258,8 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
         if refine:
             st = lattice.roots[i]
             err = abs(st.x - seed)
-            scaled = err * m / math.log(m)
+            # m / log m is undefined at m = 1
+            scaled = err * m / math.log(m) if m > 1 else None
             fval, root_error = transcendents.root_check(st, kind)
             rec.update(
                 refined=_c2w(st.x),
@@ -263,7 +268,8 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
                 residual=fval,
                 root_error=root_error,
             )
-            row += [st.x.real, st.x.imag, err, scaled, fval, root_error]
+            csv_scaled = math.nan if scaled is None else scaled
+            row += [st.x.real, st.x.imag, err, csv_scaled, fval, root_error]
         entries.append(rec)
         rows.append(row)
     header = "m,re_seed,im_seed" + (

@@ -12,7 +12,8 @@ seeding rule of every default path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,30 +33,32 @@ SEED_DEGREE = 5
 
 @dataclass
 class FlowState:
-    """The pair (x, A0(x), Ax(x)) together with its parameter record."""
+    """The pair (x, A0(x), Ax(x)) together with its parameter record.
+
+    Construction raises PvisoValueError unless A0 and Ax are traceless and
+    (A0 + Ax)_11 = -thetainf/2, relative to 1 + |A0| + |Ax| (max-abs
+    norms); every pair the package builds passes by construction.
+    """
 
     x: complex
     A0: np.ndarray
     Ax: np.ndarray
     params: Parameters
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.x = complex(self.x)
         self.A0 = np.array(self.A0, dtype=complex)
         self.Ax = np.array(self.Ax, dtype=complex)
-        if self.validate:
-            scale = 1.0 + mat_norm(self.A0) + mat_norm(self.Ax)
-            if abs(tr2(self.A0)) > _SEED_CHECK_TOL * scale or abs(
-                tr2(self.Ax)
-            ) > _SEED_CHECK_TOL * scale:
-                raise PvisoValueError("flow state requires traceless A0, Ax")
-            b = self.A0[0, 0] + self.Ax[0, 0] + self.params.thetainf / 2.0
-            if abs(b) > 1e-9 * scale:
-                raise PvisoValueError(
-                    "flow state requires (A0+Ax)_11 = -thetainf/2, defect "
-                    f"{abs(b):.3e}"
-                )
+        a, b, c, d = self.A0.ravel().tolist()
+        e, g, k, m = self.Ax.ravel().tolist()
+        scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d)) + max(abs(e), abs(g), abs(k), abs(m))
+        if abs(a + d) > _SEED_CHECK_TOL * scale or abs(e + m) > _SEED_CHECK_TOL * scale:
+            raise PvisoValueError("flow state requires traceless A0, Ax")
+        defect = abs(a + e + self.params.thetainf / 2.0)
+        if defect > 1e-9 * scale:
+            raise PvisoValueError(
+                f"flow state requires (A0+Ax)_11 = -thetainf/2, defect {defect:.3e}"
+            )
 
     def invariants(self) -> dict[str, complex]:
         return {
@@ -141,7 +144,7 @@ def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
         if _segment_distance(s.x, x_target) < 1.0:
             raise PathError(f"segment [{s.x}, {x_target}] enters the unit disk about 0")
         A0, Ax = _transport_segment(s.x, A0, Ax, x_target, tol)
-    out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params, validate=False)
+    out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params)
     before = s.invariants()
     after = out.invariants()
     budget = _drift_budget(s.A0, s.Ax, tol)
@@ -187,7 +190,7 @@ def refine_from_series(
         raise PathError("refinement target should satisfy |x| >= 20")
     radius = float(seed_radius)
     A0, Ax, truncation = series_seed(p, 1j * radius, 3)
-    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p, validate=False)
+    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p)
     return Seed(integrate(state, x_target, tol), radius, 3, truncation)
 
 
@@ -224,8 +227,11 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
     80 field evaluations per unit of length, so each doubling that passes
     saves most of the way from max(300, 2|x|).  For x = i r, |x| is r
     exactly.  If that one fails the strip too, the DomainError names
-    sigma and the radii on the axis that the strip holds.
+    sigma and the radii on the axis that the strip holds.  A non-finite
+    x raises DomainError.
     """
+    if not cmath.isfinite(x):
+        raise DomainError(f"seed target x = {x} is not finite")
     radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:
@@ -237,5 +243,5 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
             if truncation <= _drift_budget(A0, Ax, tol) or radius == ceiling:
                 break
         radius = min(2.0 * radius, ceiling)
-    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p, validate=False)
+    state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p)
     return Seed(integrate(state, x, tol), radius, SEED_DEGREE, truncation)

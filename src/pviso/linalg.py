@@ -25,7 +25,6 @@ __all__ = [
     "mat_inv",
     "det2",
     "tr2",
-    "eigvals2",
     "commutator",
     "mat_norm",
     "exp_J",
@@ -65,23 +64,6 @@ def mat_inv(a: np.ndarray) -> np.ndarray:
     if abs(d) <= 1e-300:
         raise SingularMatrixError(f"matrix is numerically singular, |det| = {abs(d)}")
     return mat(a[1, 1] / d, -a[0, 1] / d, -a[1, 0] / d, a[0, 0] / d)
-
-
-def eigvals2(a: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues by the quadratic formula on trace and determinant.
-
-    Ordering is deterministic: larger real part first, ties broken by
-    larger imaginary part.
-    """
-    t = tr2(a)
-    d = det2(a)
-    disc = cmath.sqrt(t * t - 4.0 * d)
-    lam1 = (t + disc) / 2.0
-    lam2 = (t - disc) / 2.0
-    key = lambda z: (z.real, z.imag)  # noqa: E731
-    if key(lam1) < key(lam2):
-        lam1, lam2 = lam2, lam1
-    return lam1, lam2
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,16 +109,6 @@ class BranchedLog:
         if z == 0:
             raise PvisoValueError("branched log of 0")
         return cls(math.log(abs(z)), cmath.phase(z))
-
-    def continue_to(self, z_new: complex) -> "BranchedLog":
-        """Continue the branch to a nearby point.
-
-        Valid while the step does not wind more than half a turn about
-        the origin; chain calls along a sampled path for larger moves.
-        """
-        z_new = complex(z_new)
-        step = cmath.phase(z_new / self.point)
-        return BranchedLog(math.log(abs(z_new)), self.tracked_arg + step)
 
 
 def branched_power(base: BranchedLog, exponent: complex) -> complex:

@@ -14,22 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OddStepsError
-from .linalg import DELTA_MINUS, DELTA_PLUS, I2, mat_inv
+from .linalg import mat_inv
 
 __all__ = ["MonodromyData", "braid_shift"]
 
 
 @dataclass
 class MonodromyData:
-    """Monodromy matrices about 0, x, infinity plus the Stokes scalars."""
+    """Monodromy matrices about 0, x, infinity plus the Stokes scalars;
+    the Stokes matrices are S1 = I + s1 Delta- and S2 = I + s2 Delta+."""
 
     M0: np.ndarray
     Mx: np.ndarray
     Minf: np.ndarray
     s1: complex
     s2: complex
-    S1: np.ndarray
-    S2: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @classmethod
@@ -58,8 +57,6 @@ class MonodromyData:
             Minf=mat_inv(prod),
             s1=complex(s1),
             s2=complex(s2),
-            S1=I2 + complex(s1) * DELTA_MINUS,
-            S2=I2 + complex(s2) * DELTA_PLUS,
         )
 
 

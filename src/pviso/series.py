@@ -118,16 +118,6 @@ class GammaQuad:
     gxp: complex
     gxm: complex
 
-    @property
-    def p0(self) -> complex:
-        """g0p * g0m = (4 theta0^2 - (sigma - thetainf)^2) / 16."""
-        return self.g0p * self.g0m
-
-    @property
-    def px(self) -> complex:
-        """gxp * gxm = (4 thetax^2 - (sigma + thetainf)^2) / 16."""
-        return self.gxp * self.gxm
-
 
 class DegenerateKind(str, enum.Enum):
     TWO_PARAM = "two-param"
@@ -136,17 +126,11 @@ class DegenerateKind(str, enum.Enum):
 
 @dataclass
 class ABPair:
-    """Matrix pair with its zero-trace components at one point x."""
+    """The pair (A0, Ax) at one point: A0 = mat(f0, f+, f-, -f0) and
+    Ax = mat(g0, g+, g-, -g0) in the components of the module docstring."""
 
     A0: np.ndarray
     Ax: np.ndarray
-    f0: complex
-    fplus: complex
-    fminus: complex
-    g0: complex
-    gplus: complex
-    gminus: complex
-    x: complex
 
 
 def gamma_quad(p: Parameters) -> GammaQuad:
@@ -433,29 +417,19 @@ def _unnormalize(p: Parameters, bl: BranchedLog, ex: complex, fp, gp, fm, gm):
     return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
 
 
-def _ab_pair(p, x, bl, ex, f0, fp, gp, fm, gm) -> ABPair:
-    """The pair at x from f0 and the normalized Fp, Gp, Fm, Gm there."""
+def _ab_pair(p, bl, ex, f0, fp, gp, fm, gm) -> ABPair:
+    """The pair from f0 and the normalized Fp, Gp, Fm, Gm at the point of ``bl``."""
     g0 = -p.thetainf / 2.0 - f0
     fplus, gplus, fminus, gminus = _unnormalize(p, bl, ex, fp, gp, fm, gm)
-    return ABPair(
-        A0=mat(f0, fplus, fminus, -f0),
-        Ax=mat(g0, gplus, gminus, -g0),
-        f0=f0,
-        fplus=fplus,
-        fminus=fminus,
-        g0=g0,
-        gplus=gplus,
-        gminus=gminus,
-        x=x,
-    )
+    return ABPair(A0=mat(f0, fplus, fminus, -f0), Ax=mat(g0, gplus, gminus, -g0))
 
 
 def series_A_pair(p: Parameters, x: complex) -> ABPair:
-    """Evaluate the generic three-parameter series at x from every term
-    of total degree <= 3 (see the module docstring)."""
+    """The pair (A0, Ax) of the generic three-parameter series at x from
+    every term of total degree <= 3 (see the module docstring)."""
     x = complex(x)
     bl, ex, ep, em, ix = _expansion(p, x)
-    return _ab_pair(p, x, bl, ex, *_l2_components(p, ep, em, ix)[0])
+    return _ab_pair(p, bl, ex, *_l2_components(p, ep, em, ix)[0])
 
 
 def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -468,7 +442,7 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     x = complex(x)
     bl, ex, ep, em, ix = _expansion(p, x)
     components, coefs, basis = _l2_components(p, ep, em, ix, degree)
-    ab = _ab_pair(p, x, bl, ex, *components)
+    ab = _ab_pair(p, bl, ex, *components)
     top = degree * degree  # the terms of total degree `degree` come last
     tail_dl, *tail = (coefs[:, top:] @ basis[top:]).tolist()
     truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, bl, ex, *tail)))
@@ -476,7 +450,8 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
 
 
 def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) -> ABPair:
-    """Evaluate the degenerate families at sigma = -2*thetax - thetainf.
+    """The pair (A0, Ax) of the degenerate families at sigma =
+    -2*thetax - thetainf.
 
     TWO_PARAM keeps cx free (single exponential series in E+); ONE_PARAM
     additionally sets cx = 0, leaving a pure asymptotic pair.  Only the
@@ -531,16 +506,4 @@ def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) ->
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(kind)
 
-    A0 = f0 * J + fplus * DELTA_PLUS + fminus * DELTA_MINUS
-    Ax = g0 * J + gplus * DELTA_PLUS + gminus * DELTA_MINUS
-    return ABPair(
-        A0=A0,
-        Ax=Ax,
-        f0=f0,
-        fplus=fplus,
-        fminus=fminus,
-        g0=g0,
-        gplus=gplus,
-        gminus=gminus,
-        x=x,
-    )
+    return ABPair(A0=mat(f0, fplus, fminus, -f0), Ax=mat(g0, gplus, gminus, -g0))

@@ -200,8 +200,8 @@ def test_criterion_05_series_validity():
     for r in radii:
         ab = series_A_pair(P1, 1j * r)
         defects.append(
-            abs(ab.f0**2 + ab.fplus * ab.fminus - P1.theta0**2 / 4.0)
-            + abs(ab.g0**2 + ab.gplus * ab.gminus - P1.thetax**2 / 4.0)
+            abs(ab.A0[0, 0] ** 2 + ab.A0[0, 1] * ab.A0[1, 0] - P1.theta0**2 / 4.0)
+            + abs(ab.Ax[0, 0] ** 2 + ab.Ax[0, 1] * ab.Ax[1, 0] - P1.thetax**2 / 4.0)
         )
         res = _schlesinger_residual(P1, 1j * r)
         res_half = _schlesinger_residual(P1, 1j * r, RESIDUAL_STEP / 2.0)

@@ -183,11 +183,36 @@ def test_missing_parameters_exit_code(tmp_path):
     assert main(["--config", cfg, "verify"]) == 2
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # the series seeds no point with |x| < 20 (PathError, a value error:
-    # exit 2)
+def test_exit_code_table(tmp_path, capsys, deadline):
+    # a non-finite x or x_points entry is a config error naming the option;
+    # the series seeds no point with |x| < 20, and the segment from the
+    # seed at 160i to -40i enters the unit disk (value errors: exit 2);
+    # x = 1e300i overflows (exit 3).  Each case must return within 10 s,
+    # so that a seeding loop that never ends fails here instead of hanging
     cfg = _write(tmp_path, P1_CFG)
-    assert main(["--config", cfg, "evaluate", "--x-points", "5j"]) == 2
+    points = (("nan", 2), ("nan+nanj", 2), ("0", 2), ("19j", 2), ("-40j", 2), ("1e300j", 3))
+    cases = [
+        *((command, [f"--x={x}"], rc) for command in ("monodromy", "verify", "tau") for x, rc in points),
+        *((command, ["--x-points=40j;nan"], 2) for command in ("flow", "evaluate")),
+        ("evaluate", ["--x-points=5j"], 2),
+        *((command, ["--m-from=1", "--m-to=2"], 0) for command in ("zeros", "poles")),
+    ]
+    for command, options, expected in cases:
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        deadline(10)
+        rc = main(["--config", cfg, command, *options, "--out", str(out)])
+        deadline(0)
+        err = capsys.readouterr().err
+        assert rc == expected, (command, options, err)
+        if "nan" in options[0]:
+            assert "config error: option x" in err, err
+        if rc != 0:
+            assert not out.exists()
+            continue
+        # m / log m has no value at m = 1: scaled_error is null there
+        table = _strict_json(out.read_text())["result"]["table"]
+        assert [row["scaled_error"] is None for row in table] == [True, False]
 
 
 P1_FLAGS = [

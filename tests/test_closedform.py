@@ -6,7 +6,7 @@ import pytest
 
 from pviso.closedform import closed_form_factors, closed_form_monodromy
 from pviso.errors import PvisoNumericalError, ResonanceError
-from pviso.linalg import I2, det2, mat_inv, mat_norm, tr2
+from pviso.linalg import DELTA_MINUS, DELTA_PLUS, I2, det2, mat_inv, mat_norm, tr2
 from pviso.series import Parameters
 from pviso.special import gamma
 
@@ -84,7 +84,8 @@ def test_first_connection_relation():
     # S1 Mx M0 Mx^-1 S1^-1 = (C0^1)^-1 e^(pi i theta0 J) C0^1
     md = closed_form_monodromy(P1)
     cf = closed_form_factors(P1)
-    lhs = md.S1 @ md.Mx @ md.M0 @ mat_inv(md.Mx) @ mat_inv(md.S1)
+    S1 = I2 + md.s1 * DELTA_MINUS
+    lhs = S1 @ md.Mx @ md.M0 @ mat_inv(md.Mx) @ mat_inv(S1)
     rhs = mat_inv(cf.C01) @ _exp_piJ(P1.theta0) @ cf.C01
     assert mat_norm(lhs - rhs) <= 1e-10
 
@@ -92,7 +93,7 @@ def test_first_connection_relation():
 def test_inf_factorization():
     # Minf = M0^-1 Mx^-1 agrees with S2 e^(pi i thetainf J) S1
     md = closed_form_monodromy(P1)
-    alt = md.S2 @ _exp_piJ(P1.thetainf) @ md.S1
+    alt = (I2 + md.s2 * DELTA_PLUS) @ _exp_piJ(P1.thetainf) @ (I2 + md.s1 * DELTA_MINUS)
     assert mat_norm(md.Minf - alt) <= 1e-12
 
 

@@ -25,7 +25,7 @@ P8P = Parameters(theta0=0.05, thetax=0.45, thetainf=0.1, c0=1.0, cx=25.0, sigma=
 
 def _series_state(p, x):
     ab = series_A_pair(p, x)
-    return FlowState(x=ab.x, A0=ab.A0, Ax=ab.Ax, params=p, validate=False)
+    return FlowState(x=x, A0=ab.A0, Ax=ab.Ax, params=p)
 
 
 def test_rhs_diagonal_pair_is_stationary():
@@ -35,7 +35,6 @@ def test_rhs_diagonal_pair_is_stationary():
         A0=np.diag([P1.theta0 / 2, -P1.theta0 / 2]),
         Ax=np.diag([P1.thetax / 2, -P1.thetax / 2]),
         params=p,
-        validate=False,
     )
     d0, dx = rhs(s)
     assert mat_norm(d0) == 0.0
@@ -44,7 +43,7 @@ def test_rhs_diagonal_pair_is_stationary():
 
 def test_rhs_nilpotent_example():
     p = P1.replace(thetainf=0.0)
-    s = FlowState(x=1.0, A0=np.array(DELTA_PLUS), Ax=np.array(DELTA_MINUS), params=p, validate=False)
+    s = FlowState(x=1.0, A0=np.array(DELTA_PLUS), Ax=np.array(DELTA_MINUS), params=p)
     d0, dx = rhs(s)
     assert np.allclose(d0, -J)
     assert np.allclose(dx, J - DELTA_MINUS)
@@ -87,9 +86,9 @@ def test_flow_field_matches_matrix_formula():
 def test_flow_state_validation_raises_value_error():
     ab = series_A_pair(P1, 200j)
     with pytest.raises(PvisoValueError):
-        FlowState(x=ab.x, A0=ab.A0 + np.eye(2), Ax=ab.Ax, params=P1)
+        FlowState(x=200j, A0=ab.A0 + np.eye(2), Ax=ab.Ax, params=P1)
     with pytest.raises(PvisoValueError):
-        FlowState(x=ab.x, A0=ab.A0 + 0.1 * J, Ax=ab.Ax, params=P1)
+        FlowState(x=200j, A0=ab.A0 + 0.1 * J, Ax=ab.Ax, params=P1)
 
 
 def test_integrate_noop():
@@ -110,7 +109,7 @@ def test_flow_matches_series_within_truncation():
     # the degree-5 state at 200i carried to 60i lies within the degree-5
     # series' own truncation there (gap 5.9e-11, truncation 6.6e-10)
     A0, Ax, _ = series_seed(P1, 200j, 5)
-    out = integrate(FlowState(x=200j, A0=A0, Ax=Ax, params=P1, validate=False), 60j, 1e-12)
+    out = integrate(FlowState(x=200j, A0=A0, Ax=Ax, params=P1), 60j, 1e-12)
     A0, Ax, truncation = series_seed(P1, 60j, 5)
     assert max(mat_norm(out.A0 - A0), mat_norm(out.Ax - Ax)) <= truncation
 
@@ -236,3 +235,11 @@ def test_seed_outside_strip_states_axis_radii():
 def test_seed_state_rejects_small_x():
     with pytest.raises(PathError):
         seed_state(P1, 5j)
+
+
+def test_seed_at_rejects_non_finite_x(deadline):
+    # |nan| would keep the radius doubling loop from ever reaching its ceiling
+    deadline(10)
+    for x in (complex("nan"), complex("nan+nanj"), complex(0, math.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            seed_at(P1, x)

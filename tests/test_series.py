@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pviso.errors import DegenerateParameterError, DomainError, ZeroConstantError
-from pviso.linalg import commutator, det2, mat_norm
+from pviso.linalg import commutator, det2, mat_norm, tr2
 from pviso.series import (
     DegenerateKind,
     Parameters,
@@ -16,7 +16,6 @@ from pviso.series import (
     series_A_pair_degenerate,
 )
 from pviso.series import _basis, _l2_coefficients, _l2_solve, _terms, series_seed
-from pviso.linalg import eigvals2
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
@@ -46,8 +45,8 @@ def test_gamma_quad_product_identities():
             sigma=complex(rng.randn(), rng.randn()) / 2,
         )
         g = gamma_quad(p)
-        id0 = g.p0 - (4.0 * p.theta0**2 - (p.sigma - p.thetainf) ** 2) / 16.0
-        idx = g.px - (4.0 * p.thetax**2 - (p.sigma + p.thetainf) ** 2) / 16.0
+        id0 = g.g0p * g.g0m - (4.0 * p.theta0**2 - (p.sigma - p.thetainf) ** 2) / 16.0
+        idx = g.gxp * g.gxm - (4.0 * p.thetax**2 - (p.sigma + p.thetainf) ** 2) / 16.0
         assert abs(id0) <= 1e-14
         assert abs(idx) <= 1e-14
 
@@ -64,18 +63,18 @@ def test_leading_lambda_matrices():
     lam0, lamx = leading_lambda_matrices(p)
     assert lam0[0, 0] == pytest.approx(0.05)
     assert lam0[0, 1] == pytest.approx(0.15)
-    e1, e2 = eigvals2(lam0)
-    assert abs(e1 - p.theta0 / 2.0) < 1e-14 and abs(e2 + p.theta0 / 2.0) < 1e-14
+    # eigenvalues +-theta0/2: trace 0 and determinant -theta0^2/4
+    assert abs(tr2(lam0)) < 1e-14 and abs(det2(lam0) + p.theta0**2 / 4.0) < 1e-14
     assert abs((lam0 + lamx)[0, 0] + p.thetainf / 2.0) < 1e-15
 
 
 def test_series_leading_value_and_diagonal_relation():
     p = P1.replace(sigma=0.2, thetainf=0.1)
     ab = series_A_pair(p, 1e4j)
-    assert abs(ab.f0 - 0.025) <= 1e-4 * 10.0
-    assert abs(ab.g0 + ab.f0 + p.thetainf / 2.0) < 1e-15
+    assert abs(ab.A0[0, 0] - 0.025) <= 1e-4 * 10.0
+    assert abs(ab.Ax[0, 0] + ab.A0[0, 0] + p.thetainf / 2.0) < 1e-15
     ab1 = series_A_pair(P1, 250j)
-    assert abs(ab1.g0 + ab1.f0 + P1.thetainf / 2.0) < 1e-15
+    assert abs(ab1.Ax[0, 0] + ab1.A0[0, 0] + P1.thetainf / 2.0) < 1e-15
 
 
 def _printed_coefficients(p):
@@ -84,7 +83,7 @@ def _printed_coefficients(p):
     the normalized Fp, Gp, Fm, Gm (see pviso.series)."""
     g = gamma_quad(p)
     s, ti = p.sigma, p.thetainf
-    P, Q, S2 = g.p0, g.px, s * s - ti * ti
+    P, Q, S2 = g.g0p * g.g0m, g.gxp * g.gxm, s * s - ti * ti
     return {
         "f0": {
             (0, 0): (s - ti) / 4.0,
@@ -217,7 +216,7 @@ def test_series_det_defect_decreases_along_ray():
     vals = []
     for r in (100.0, 200.0, 400.0, 800.0):
         ab = series_A_pair(P1, 1j * r)
-        vals.append(abs(ab.f0**2 + ab.fplus * ab.fminus - P1.theta0**2 / 4.0))
+        vals.append(abs(ab.A0[0, 0] ** 2 + ab.A0[0, 1] * ab.A0[1, 0] - P1.theta0**2 / 4.0))
     for a, b in zip(vals, vals[1:]):
         assert b <= a / 2.0  # monotone up to factor-2 noise; here strictly better
 
@@ -239,8 +238,8 @@ def test_degenerate_two_param_leading():
     p = P1.replace(sigma=P1.sigma_deg_plus)
     ab = series_A_pair_degenerate(p, 300j, DegenerateKind.TWO_PARAM)
     lead = -(p.thetax + p.thetainf) / 2.0
-    assert abs(ab.f0 - lead) < 5e-3
-    assert abs(ab.g0 + ab.f0 + p.thetainf / 2.0) < 1e-15
+    assert abs(ab.A0[0, 0] - lead) < 5e-3
+    assert abs(ab.Ax[0, 0] + ab.A0[0, 0] + p.thetainf / 2.0) < 1e-15
 
 
 def test_degenerate_one_param_leading():
@@ -248,14 +247,14 @@ def test_degenerate_one_param_leading():
     ab = series_A_pair_degenerate(p, 300j, DegenerateKind.ONE_PARAM)
     x_tx = cmath.exp(p.thetax * cmath.log(300j))
     target = (p.theta0 + p.thetax + p.thetainf) / (2.0 * p.c0)
-    assert abs(ab.fminus * x_tx - target) <= 1e-2 * abs(target)
+    assert abs(ab.A0[1, 0] * x_tx - target) <= 1e-2 * abs(target)
 
 
 def test_degenerate_one_param_zero_coefficient():
     p = P1.replace(theta0=-(P1.thetax + P1.thetainf))
     ab = series_A_pair_degenerate(p, 300j, DegenerateKind.ONE_PARAM)
-    assert abs(ab.fminus) < 1e-15
-    assert abs(ab.gminus) < 1e-15
+    assert abs(ab.A0[1, 0]) < 1e-15
+    assert abs(ab.Ax[1, 0]) < 1e-15
 
 
 def test_degenerate_thetax_zero_rejected():
@@ -282,9 +281,9 @@ def test_cx_to_zero_limit_matches_one_param():
     p = P1.replace(sigma=P1.sigma_deg_plus, cx=1e-10)
     generic = series_A_pair(p, 400j)
     one = series_A_pair_degenerate(p.replace(cx=0.0), 400j, DegenerateKind.ONE_PARAM)
-    assert abs(generic.f0 - one.f0) < 1e-4
-    assert abs(generic.fplus - one.fplus) <= 1e-2 * max(1.0, abs(one.fplus))
-    assert abs(generic.fminus - one.fminus) <= 1e-2 * max(1.0, abs(one.fminus))
+    assert abs(generic.A0[0, 0] - one.A0[0, 0]) < 1e-4
+    for i, j in ((0, 1), (1, 0)):
+        assert abs(generic.A0[i, j] - one.A0[i, j]) <= 1e-2 * max(1.0, abs(one.A0[i, j]))
 
 
 def test_domain_check_examples():

@@ -22,11 +22,12 @@ def test_dlog_tau_zero_state():
 
 
 def test_dlog_tau_direct_example():
-    # A0 = Ax = J at x = 2 with thetainf = 0: tr(A0 Ax)/x - tr(A0 J)/2 = 1 - 1
-    p = Parameters(theta0=0, thetax=0, thetainf=0, c0=1.0, cx=1.0, sigma=0)
+    # A0 = Ax = J at x = 2 with thetainf = -4, so (A0+Ax)_11 = -thetainf/2:
+    # tr(A0 Ax)/x - tr(A0 J)/2 - thetainf/2 = 1 - 1 + 2
+    p = Parameters(theta0=0, thetax=0, thetainf=-4, c0=1.0, cx=1.0, sigma=0)
     J = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    s = FlowState(x=2.0, A0=J, Ax=J, params=p, validate=False)
-    assert dlog_tau(s) == 0.0
+    s = FlowState(x=2.0, A0=J, Ax=J, params=p)
+    assert dlog_tau(s) == 2.0
 
 
 def test_dlog_tau_two_forms_agree(state40):
