@@ -3,7 +3,7 @@ for the fifth Painleve equation, with numerically verified monodromy data.
 
 Subpackages by concern:
 
-- ``linalg``        complex 2x2 algebra, branch-tracked powers
+- ``linalg``        complex 2x2 algebra, powers on a given branch of log
 - ``special``       complex Gamma / reciprocal Gamma / digamma
 - ``series``        truncated series solutions and its degenerate branches
 - ``flow``          adaptive transport under the deformation equations

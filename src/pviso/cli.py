@@ -20,7 +20,7 @@ import numpy as np
 
 from . import closedform, monodata, monodromy, tau, transcendents
 from .errors import PvisoNumericalError, PvisoValueError
-from .flow import Seed, integrate, seed_state
+from .flow import Seed, seed_state, walk
 from .linalg import I2, det2, mat_norm, tr2
 from .series import Parameters
 from .special import digamma, gamma
@@ -83,12 +83,9 @@ def _diagnostics_to_wire(md: monodata.MonodromyData) -> dict:
 _PARAM_KEYS = ("theta0", "thetax", "thetainf", "c0", "cx", "sigma")
 
 
-def _params_from_config(cfg: dict, args) -> Parameters:
+def _params_from_config(cfg: dict, flags: dict) -> Parameters:
     raw = dict(cfg.get("parameters", {}))
-    for key in _PARAM_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = flag
+    raw.update((key, flags[key]) for key in _PARAM_KEYS if key in flags)
     missing = [k for k in _PARAM_KEYS if k not in raw]
     if missing:
         raise PvisoValueError(f"missing parameters: {', '.join(missing)}")
@@ -120,33 +117,43 @@ def _integer(v) -> int:
     return _reject(v, "an integer") if isinstance(v, bool) or fraction else int(v)
 
 
-# option -> coercion of its value, given by flag or in the config's
-# "options"; every given option is coerced before a command runs, so a
-# malformed value is a config error
+def _list(each):
+    """The coercion of a list option: a JSON list, or text split at ";",
+    with ``each`` coercing every entry; an empty list is rejected."""
+
+    def coerce(v):
+        items = [each(e) for e in (v.split(";") if isinstance(v, str) else v)]
+        return items or _reject(v, "a non-empty list")
+
+    return coerce
+
+
+# option -> (coercion, default).  A value given by flag or in the config's
+# "options" goes through the same coercion before a command runs, so a
+# malformed value is a config error; an option not given takes its default
 _OPTIONS = {
-    "x": lambda v: _finite(v, "option x"),
-    "x_points": lambda v: [_finite(z, "option x_points") for z in v]
-    or _reject(v, "a non-empty list"),
-    "tol": _positive,
-    "radius": _positive,
-    "m_from": _integer,
-    "m_to": _integer,
-    "root_tol": _positive,
-    "refine": lambda v: v if isinstance(v, bool) else _reject(v, "true or false"),
-    "h_values": lambda v: [_positive(h) for h in v],
-    "steps": _integer,
-    "monodromy_tol": _positive,
-    "monodromy": lambda v: (_w2m(v["M0"]), _w2m(v["Mx"])),
+    "x": (lambda v: _finite(v, "option x"), 40j),
+    "x_points": (_list(lambda z: _finite(z, "option x_points")), [40j]),
+    "tol": (_positive, 1e-12),
+    "radius": (_positive, None),
+    "m_from": (_integer, 10),
+    "m_to": (_integer, 20),
+    "root_tol": (_positive, 1e-9),
+    "refine": (lambda v: v if isinstance(v, bool) else _reject(v, "true or false"), True),
+    "h_values": (_list(_positive), [4e-2, 2e-2, 1e-2]),
+    "steps": (_integer, 2),
+    "monodromy_tol": (_positive, 1e-4),
+    "monodromy": (lambda v: (_w2m(v["M0"]), _w2m(v["Mx"])), None),
 }
 
 
-def _options(cfg: dict, args) -> dict:
+def _options(cfg: dict, flags: dict) -> dict:
     given = dict(cfg.get("options", {}))
-    for name in _OPTIONS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            given[name] = flag
-    return {name: conv(given[name]) for name, conv in _OPTIONS.items() if name in given}
+    given.update((name, flags[name]) for name in _OPTIONS if name in flags)
+    return {
+        name: conv(given[name]) if name in given else default
+        for name, (conv, default) in _OPTIONS.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +161,8 @@ def _options(cfg: dict, args) -> dict:
 
 
 def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
-    x = opts.get("x", 40j)
-    tol = opts.get("tol", 1e-12)
-    seed = seed_state(p, x, tol)
-    md_num = monodromy.monodromy(seed.state, tol, R=opts.get("radius"))
+    seed = seed_state(p, opts["x"], opts["tol"])
+    md_num = monodromy.monodromy(seed.state, opts["tol"], R=opts["radius"])
     md_cf = closedform.closed_form_monodromy(p)
     diff = max(
         mat_norm(md_num.M0 - md_cf.M0),
@@ -175,14 +180,11 @@ def _cmd_monodromy(p: Parameters, opts: dict) -> tuple[dict, None]:
 
 
 def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
-    xs = opts.get("x_points", [40j])
-    tol = opts.get("tol", 1e-12)
-    seed = seed_state(p, xs[0], tol)
-    state = seed.state
+    xs = opts["x_points"]
+    seed = seed_state(p, xs[0], opts["tol"])
     samples = []
     rows = []
-    for x in xs:
-        state = integrate(state, x, tol) if state.x != x else state
+    for x, state in zip(xs, walk(seed.state, xs, opts["tol"])):
         samples.append(
             {
                 "x": _c2w(x),
@@ -204,22 +206,15 @@ def _cmd_flow(p: Parameters, opts: dict) -> tuple[dict, list]:
 
 
 def _flatten(m: np.ndarray) -> list[float]:
-    out = []
-    for i in range(2):
-        for j in range(2):
-            out.extend(_c2w(m[i, j]))
-    return out
+    return [part for row in _m2w(m) for z in row for part in z]
 
 
 def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
-    xs = opts.get("x_points", [40j])
-    tol = opts.get("tol", 1e-12)
-    seed = seed_state(p, xs[0], tol)
-    state = seed.state
+    xs = opts["x_points"]
+    seed = seed_state(p, xs[0], opts["tol"])
     out = []
     rows = []
-    for x in xs:
-        state = integrate(state, x, tol) if state.x != x else state
+    for x, state in zip(xs, walk(seed.state, xs, opts["tol"])):
         pt = transcendents.yzu_from_matrices(state)
         h = tau.dlog_tau(state)
         out.append(
@@ -243,11 +238,11 @@ def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
 
 
 def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
-    m_range = opts.get("m_from", 10), opts.get("m_to", 20)
-    refine = opts.get("refine", True)
+    m_range = opts["m_from"], opts["m_to"]
+    refine = opts["refine"]
     if refine:
         lattice = transcendents.refine_lattice(
-            p, kind, *m_range, root_tol=opts.get("root_tol", 1e-9), flow_tol=opts.get("tol", 1e-12)
+            p, kind, *m_range, root_tol=opts["root_tol"], flow_tol=opts["tol"]
         )
     else:
         lattice = transcendents.zero_pole_seeds(p, kind, *m_range)
@@ -287,22 +282,20 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
 
 
 def _cmd_tau(p: Parameters, opts: dict) -> tuple[dict, list]:
-    x = opts.get("x", 40j)
-    tol = opts.get("tol", 1e-12)
-    hs = opts.get("h_values", [4e-2, 2e-2, 1e-2])
+    x, tol = opts["x"], opts["tol"]
     seed = seed_state(p, x, tol)
     sweeps = []
     rows = []
-    for h in hs:
+    for h in opts["h_values"]:
         r = tau.bilinear_residual(p, x, h, state=seed.state, tol=tol)
-        sweeps.append({"h": h, "residual": _c2w(r), "abs_residual": abs(r)})
-        rows.append([h, abs(r)])
+        sweeps.append({"h": h, "residual": _c2w(r), "abs_residual": float(abs(r))})
+        rows.append([h, float(abs(r))])
     return {"x": _c2w(x), "sweep": sweeps, "seed": _seed_to_wire(seed)}, ["h,abs_residual", rows]
 
 
 def _cmd_braid(p: Parameters, opts: dict) -> tuple[dict, None]:
-    steps = opts.get("steps", 2)
-    stored = opts.get("monodromy")
+    steps = opts["steps"]
+    stored = opts["monodromy"]
     if stored is None:
         md = closedform.closed_form_monodromy(p)
     else:
@@ -312,8 +305,7 @@ def _cmd_braid(p: Parameters, opts: dict) -> tuple[dict, None]:
 
 
 def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
-    tol = opts.get("tol", 1e-12)
-    x = opts.get("x", 40j)
+    tol = opts["tol"]
     checks = []
 
     def check(name: str, value: float, bound: float):
@@ -329,7 +321,7 @@ def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
     check("digamma_value", abs(digamma(2.0) - (1.0 - 0.5772156649015329)), 1e-10)
 
     # series / flow consistency
-    seed = seed_state(p, x, tol)
+    seed = seed_state(p, opts["x"], tol)
     state = seed.state
     check("seed_truncation", seed.seed_truncation, 1e-5)
     b_defect = abs(state.A0[0, 0] + state.Ax[0, 0] + p.thetainf / 2.0)
@@ -346,7 +338,7 @@ def _cmd_verify(p: Parameters, opts: dict) -> tuple[dict, None]:
     check(
         "monodromy_vs_closed_form",
         max(mat_norm(md.M0 - md_cf.M0), mat_norm(md.Mx - md_cf.Mx)),
-        opts.get("monodromy_tol", 1e-4),
+        opts["monodromy_tol"],
     )
     for name, m, theta in (("M0", md.M0, p.theta0), ("Mx", md.Mx, p.thetax)):
         check(f"det_{name}", abs(det2(m) - 1.0), 1e-10)
@@ -386,6 +378,19 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
+# command -> the options it takes as flags (--m-from for m_from); a flag's
+# text goes through the option's coercion, as a config value does
+_FLAGS = {
+    "monodromy": ("x", "tol", "radius"),
+    "flow": ("tol", "x_points"),
+    "evaluate": ("tol", "x_points"),
+    "zeros": ("m_from", "m_to", "tol", "root_tol"),
+    "poles": ("m_from", "m_to", "tol", "root_tol"),
+    "tau": ("x", "tol", "h_values"),
+    "braid": ("steps",),
+    "verify": ("x", "tol", "monodromy_tol"),
+}
+
 
 # ---------------------------------------------------------------------------
 # entry point
@@ -407,50 +412,29 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **flags):
+    for name, options in _FLAGS.items():
         sp = sub.add_parser(name, parents=[common], argument_default=argparse.SUPPRESS)
-        for fname, ftype in flags.items():
-            sp.add_argument(f"--{fname.replace('_', '-')}", dest=fname, type=ftype)
-        return sp
-
-    add("monodromy", x=str, tol=float, radius=float)
-    add("flow", tol=float, x_points=str)
-    add("evaluate", tol=float, x_points=str)
-    for name in ("zeros", "poles"):
-        sp = add(name, m_from=int, m_to=int, tol=float, root_tol=float)
-        sp.add_argument("--no-refine", dest="refine", action="store_false")
-    add("tau", x=str, tol=float, h_values=str)
-    add("braid", steps=int)
-    add("verify", x=str, tol=float, monodromy_tol=float)
+        for option in options:
+            sp.add_argument(f"--{option.replace('_', '-')}", dest=option)
+        if name in ("zeros", "poles"):
+            sp.add_argument("--no-refine", dest="refine", action="store_false")
     return ap
 
 
-def _postprocess_args(args) -> None:
-    # list options arrive as ";"-separated strings
-    for name in ("x_points", "h_values"):
-        if getattr(args, name, None) is not None:
-            setattr(args, name, getattr(args, name).split(";"))
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    for name in ("config", "out", "csv", "x", "x_points", "h_values"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
+    flags = vars(_build_parser().parse_args(argv))
+    command = flags["command"]
     try:
         cfg = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
+        if flags.get("config"):
+            with open(flags["config"], "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
             if not isinstance(cfg, dict):
                 raise PvisoValueError(
                     f"config must be a JSON object, not {type(cfg).__name__}"
                 )
-        _postprocess_args(args)
-        p = _params_from_config(cfg, args)
-        opts = _options(cfg, args)
+        p = _params_from_config(cfg, flags)
+        opts = _options(cfg, flags)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -459,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         # a float overflow or an invalid operation in numpy raises
         # FloatingPointError (an ArithmeticError) instead of warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            result, csv_payload = _COMMANDS[args.command](p, opts)
+            result, csv_payload = _COMMANDS[command](p, opts)
     except PvisoValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -468,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
     doc = {
-        "command": args.command,
+        "command": command,
         "parameters": _params_to_wire(p),
         "result": result,
     }
@@ -478,19 +462,19 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if flags.get("out"):
+        with open(flags["out"], "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-    if args.csv and csv_payload is not None:
+    if flags.get("csv") and csv_payload is not None:
         header, rows = csv_payload
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with open(flags["csv"], "w", encoding="utf-8") as fh:
             fh.write("# " + header + "\n")
             for row in rows:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
-    if args.command == "verify" and not result["all_pass"]:
+    if command == "verify" and not result["all_pass"]:
         return EXIT_INVARIANT
     return 0
 

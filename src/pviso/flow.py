@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .linalg import det2, mat, mat_norm, tr2
 from .ode import integrate_rk54
 from .series import EPS, Parameters, axis_radii, series_seed
 
-__all__ = ["FlowState", "Seed", "rhs", "integrate", "ray_stencil",
+__all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_stencil",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
@@ -136,9 +136,12 @@ def _transport_segment(x0, A0, Ax, x1, tol):
 def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
     """Transport the state to ``x_target`` along the straight segment
     from s.x, which must keep |x| > 1.  Conserved quantities are checked
-    at the end; drift beyond 100*tol (relative to scale) raises.
+    at the end; drift beyond 100*tol (relative to scale) raises.  A
+    non-finite target raises DomainError.
     """
     x_target = complex(x_target)
+    if not cmath.isfinite(x_target):
+        raise DomainError(f"transport target x = {x_target} is not finite")
     A0, Ax = s.A0.copy(), s.Ax.copy()
     if s.x != x_target:
         if _segment_distance(s.x, x_target) < 1.0:
@@ -158,16 +161,21 @@ def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
     return out
 
 
+def walk(s: FlowState, points: Iterable[complex], tol: float) -> Iterator[FlowState]:
+    """The state at each of ``points`` in turn, each transported from the
+    one before (the first from ``s``); a point where the state already
+    is takes no transport."""
+    for x in points:
+        s = integrate(s, x, tol) if s.x != x else s
+        yield s
+
+
 def ray_stencil(s: FlowState, x: complex, h: float, half_width: int, tol: float):
-    """States at x + k h x/|x| for |k| <= half_width, each transported
-    from the one before (the first from ``s``), and the step h x/|x|."""
+    """States at x + k h x/|x| for |k| <= half_width, walked from ``s``,
+    and the step h x/|x|."""
     unit = x / abs(x)
-    states = []
-    for k in range(-half_width, half_width + 1):
-        target = x + k * h * unit
-        s = integrate(s, target, tol) if s.x != target else s
-        states.append(s)
-    return states, h * unit
+    points = [x + k * h * unit for k in range(-half_width, half_width + 1)]
+    return list(walk(s, points, tol)), h * unit
 
 
 def refine_from_series(
@@ -228,10 +236,10 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
     saves most of the way from max(300, 2|x|).  For x = i r, |x| is r
     exactly.  If that one fails the strip too, the DomainError names
     sigma and the radii on the axis that the strip holds.  A non-finite
-    x raises DomainError.
+    x, or x = 0, raises DomainError.
     """
-    if not cmath.isfinite(x):
-        raise DomainError(f"seed target x = {x} is not finite")
+    if not cmath.isfinite(x) or x == 0:
+        raise DomainError(f"seed target x = {x} is 0 or not finite")
     radius, ceiling = abs(x), max(300.0, 2.0 * abs(x))
     while True:
         try:

@@ -1,4 +1,4 @@
-"""Complex 2x2 matrix helpers and branch-tracked complex powers.
+"""Complex 2x2 matrix helpers and complex powers on a given branch of log.
 
 Matrices are plain ``numpy`` arrays of shape (2, 2) and dtype complex128.
 The named constants I2, J, DELTA_PLUS, DELTA_MINUS are the four basis
@@ -9,12 +9,10 @@ nilpotents.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PvisoValueError, SingularMatrixError
+from .errors import SingularMatrixError
 
 __all__ = [
     "I2",
@@ -28,7 +26,6 @@ __all__ = [
     "commutator",
     "mat_norm",
     "exp_J",
-    "BranchedLog",
     "branched_power",
     "power_J",
 ]
@@ -80,43 +77,13 @@ def exp_J(w: complex) -> np.ndarray:
     return mat(cmath.exp(w), 0.0, 0.0, cmath.exp(-w))
 
 
-@dataclass(frozen=True)
-class BranchedLog:
-    """Logarithm of a nonzero point with an explicitly tracked argument.
-
-    ``value`` is ln|z| + i * tracked_arg, so ``exp(value)`` recovers the
-    point on the universal cover.  Monodromy computations are precisely
-    the study of branch jumps, so the argument is never silently reduced
-    mod 2*pi.
-    """
-
-    log_abs: float
-    tracked_arg: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.log_abs, self.tracked_arg)
-
-    @property
-    def point(self) -> complex:
-        return cmath.exp(self.value)
-
-    @classmethod
-    def from_point(cls, z: complex) -> "BranchedLog":
-        """Branched log of ``z`` on the principal branch of the argument;
-        build the instance directly for another branch."""
-        z = complex(z)
-        if z == 0:
-            raise PvisoValueError("branched log of 0")
-        return cls(math.log(abs(z)), cmath.phase(z))
+def branched_power(log: complex, exponent: complex) -> complex:
+    """z**exponent on the branch of log z given as ``log`` = ln|z| + i arg z."""
+    return cmath.exp(complex(exponent) * log)
 
 
-def branched_power(base: BranchedLog, exponent: complex) -> complex:
-    """base**exponent on the branch recorded in ``base``."""
-    return cmath.exp(complex(exponent) * base.value)
-
-
-def power_J(base: BranchedLog, exponent: complex) -> np.ndarray:
-    """lambda^(exponent * J) = diag(lambda^exponent, lambda^-exponent)."""
-    p = branched_power(base, exponent)
+def power_J(log: complex, exponent: complex) -> np.ndarray:
+    """lambda^(exponent * J) = diag(lambda^exponent, lambda^-exponent) on
+    the branch ``log`` of log lambda."""
+    p = branched_power(log, exponent)
     return mat(p, 0.0, 0.0, 1.0 / p)

@@ -88,7 +88,6 @@ from .linalg import (
     DELTA_PLUS,
     I2,
     J,
-    BranchedLog,
     det2,
     exp_J,
     mat,
@@ -219,12 +218,12 @@ def normalized_frame(
     """
     if R < 4.0 * (abs(s.x) + 10.0):
         raise RadiusError(f"normalization radius {R} < 4(|x|+10)")
-    lam = BranchedLog(math.log(R), arg_lambda)
-    z = lam.point
+    log_lam = complex(math.log(R), arg_lambda)
+    z = cmath.exp(log_lam)
     series = np.array(I2, dtype=complex)
     for k, gk in enumerate(coefficients, start=1):
         series = series + gk / z**k
-    return series @ exp_J(z / 2.0) @ power_J(lam, -s.params.thetainf / 2.0)
+    return series @ exp_J(z / 2.0) @ power_J(log_lam, -s.params.thetainf / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,12 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError, ZeroConstantError
-from .linalg import DELTA_MINUS, DELTA_PLUS, J, BranchedLog, branched_power, mat
+from .linalg import DELTA_MINUS, DELTA_PLUS, J, branched_power, mat
 
 __all__ = [
     "Parameters",
@@ -97,16 +97,7 @@ class Parameters:
         return 2.0 * self.theta0 + self.thetainf
 
     def replace(self, **kw) -> "Parameters":
-        d = dict(
-            theta0=self.theta0,
-            thetax=self.thetax,
-            thetainf=self.thetainf,
-            c0=self.c0,
-            cx=self.cx,
-            sigma=self.sigma,
-        )
-        d.update(kw)
-        return Parameters(**d)
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -400,27 +391,27 @@ def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
 def _expansion(p: Parameters, x: complex):
     """The principal-branch log of x and e^x, E+, E-, 1/x there, after
     the strip check."""
-    bl = BranchedLog.from_point(x)
     if not domain_check(p, x):
         raise DomainError(f"x = {x} outside the admissible strip (eps = {EPS})")
+    lx = complex(math.log(abs(x)), cmath.phase(x))
     ex = cmath.exp(x)
-    x_s1 = branched_power(bl, p.sigma - 1.0)  # x^(sigma-1)
+    x_s1 = branched_power(lx, p.sigma - 1.0)  # x^(sigma-1)
     # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
-    return bl, ex, ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x
+    return lx, ex, ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x
 
 
-def _unnormalize(p: Parameters, bl: BranchedLog, ex: complex, fp, gp, fm, gm):
-    """(f+, g+, f-, g-) from the normalized (Fp, Gp, Fm, Gm) at the point
-    of ``bl``, where e^x = ``ex``."""
-    w = branched_power(bl, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
-    v = branched_power(bl, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
+def _unnormalize(p: Parameters, lx: complex, ex: complex, fp, gp, fm, gm):
+    """(f+, g+, f-, g-) from the normalized (Fp, Gp, Fm, Gm) at the x
+    with log x = ``lx`` and e^x = ``ex``."""
+    w = branched_power(lx, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
+    v = branched_power(lx, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
     return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
 
 
-def _ab_pair(p, bl, ex, f0, fp, gp, fm, gm) -> ABPair:
-    """The pair from f0 and the normalized Fp, Gp, Fm, Gm at the point of ``bl``."""
+def _ab_pair(p, lx, ex, f0, fp, gp, fm, gm) -> ABPair:
+    """The pair from f0 and the normalized Fp, Gp, Fm, Gm at x, log x = ``lx``."""
     g0 = -p.thetainf / 2.0 - f0
-    fplus, gplus, fminus, gminus = _unnormalize(p, bl, ex, fp, gp, fm, gm)
+    fplus, gplus, fminus, gminus = _unnormalize(p, lx, ex, fp, gp, fm, gm)
     return ABPair(A0=mat(f0, fplus, fminus, -f0), Ax=mat(g0, gplus, gminus, -g0))
 
 
@@ -428,8 +419,8 @@ def series_A_pair(p: Parameters, x: complex) -> ABPair:
     """The pair (A0, Ax) of the generic three-parameter series at x from
     every term of total degree <= 3 (see the module docstring)."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x)
-    return _ab_pair(p, bl, ex, *_l2_components(p, ep, em, ix)[0])
+    lx, ex, ep, em, ix = _expansion(p, x)
+    return _ab_pair(p, lx, ex, *_l2_components(p, ep, em, ix)[0])
 
 
 def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -440,12 +431,12 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     of the sum (at 250i and degree 5, by 30-50x against a degree-12
     series).  Raises DomainError outside the admissible strip."""
     x = complex(x)
-    bl, ex, ep, em, ix = _expansion(p, x)
+    lx, ex, ep, em, ix = _expansion(p, x)
     components, coefs, basis = _l2_components(p, ep, em, ix, degree)
-    ab = _ab_pair(p, bl, ex, *components)
+    ab = _ab_pair(p, lx, ex, *components)
     top = degree * degree  # the terms of total degree `degree` come last
     tail_dl, *tail = (coefs[:, top:] @ basis[top:]).tolist()
-    truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, bl, ex, *tail)))
+    truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, lx, ex, *tail)))
     return ab.A0, ab.Ax, truncation
 
 
@@ -458,21 +449,23 @@ def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) ->
     printed leading terms are evaluated.
     """
     x = complex(x)
-    bl = BranchedLog.from_point(x)
+    if x == 0:
+        raise DomainError("the degenerate series has no value at x = 0")
+    lx = complex(math.log(abs(x)), cmath.phase(x))  # principal log x
     t0, tx, ti = p.theta0, p.thetax, p.thetainf
     s0 = -2.0 * tx - ti
 
     g0p_s = p.c0 * (t0 - tx - ti) / 2.0
     g0m_s = (t0 + tx + ti) / (2.0 * p.c0)
 
-    x_tx = branched_power(bl, tx)  # x^thetax
+    x_tx = branched_power(lx, tx)  # x^thetax
     ex = cmath.exp(x)
 
     if kind is DegenerateKind.TWO_PARAM:
         if p.thetax == 0:
             raise DegenerateParameterError("two-parameter branch needs thetax != 0")
         gxp_s = p.cx * tx
-        x_s01 = branched_power(bl, s0 - 1.0)
+        x_s01 = branched_power(lx, s0 - 1.0)
         ep = ex * x_s01  # e^x x^(sigma0 - 1)
         em = 1.0 / (ex * x * x * x_s01)  # e^-x x^(-sigma0 - 1)
         ix = 1.0 / x
@@ -485,14 +478,14 @@ def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) ->
         gplus = (
             (gxp_s + 2.0 * g0m_s * gxp_s * gxp_s * ep * ix + g0p_s * tx * em)
             * ex
-            / branched_power(bl, tx + ti)
+            / branched_power(lx, tx + ti)
         )
         # x^thetax f- = g0m* + 2 g0m*^2 gxp* E+/x
         fminus = (g0m_s + 2.0 * g0m_s * g0m_s * gxp_s * ep * ix) / x_tx
         # e^x x^(-thetax - thetainf) g- = g0m* thetax E+ - g0m*^2 gxp* E+^2
         gminus = (
             (g0m_s * tx * ep - g0m_s * g0m_s * gxp_s * ep * ep)
-            * branched_power(bl, tx + ti)
+            * branched_power(lx, tx + ti)
             / ex
         )
     elif kind is DegenerateKind.ONE_PARAM:

@@ -245,7 +245,7 @@ def root_check(s: FlowState, kind: LatticeKind) -> tuple[float, float]:
     """The residual |y| (kind ZERO) or |1/y| (kind POLE) at the state, and
     the root's error bar: the size of the Newton step from there."""
     f, step = _newton(s, kind)
-    return abs(f), abs(step)
+    return float(abs(f)), float(abs(step))
 
 
 def refine_root(

@@ -236,6 +236,33 @@ def test_malformed_option_exit_code(tmp_path):
     ):
         cfg = _write(tmp_path, dict(P1_CFG, options=opts))
         assert main(["--config", cfg, command]) == 2, opts
+    # a flag's text takes the same coercion: main returns 2, argparse
+    # does not exit
+    for flags in (
+        ["monodromy", "--tol", "abc"],
+        ["zeros", "--m-from", "x"],
+        ["braid", "--steps", "2.5"],
+    ):
+        assert main([*P1_FLAGS, "--c0", "1", *flags]) == 2, flags
+
+
+def test_flag_and_config_parse_alike(tmp_path, capsys):
+    # a list option is a JSON list or ";"-separated text, from a flag or
+    # the config alike, so config text "12" is h = 12, not h = 1 and 2
+    for command, option, text, values in (
+        ("tau", "h_values", "12", [12.0]),
+        ("tau", "h_values", "0.02;0.01", [0.02, 0.01]),
+        ("evaluate", "x_points", "40j", ["40j"]),
+    ):
+        flag = f"--{option.replace('_', '-')}"
+        outputs = []
+        for opts, flags in (({option: text}, []), ({option: values}, []), ({}, [flag, text])):
+            cfg = _write(tmp_path, dict(P1_CFG, options=opts))
+            assert main(["--config", cfg, command, *flags]) == 0, (opts, flags)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2], (option, text)
+        if option == "h_values":
+            assert [row["h"] for row in json.loads(outputs[0])["result"]["sweep"]] == values
 
 
 def test_nan_parameter_exit_code():
@@ -243,9 +270,15 @@ def test_nan_parameter_exit_code():
 
 
 def test_empty_x_points_exit_code(tmp_path):
-    cfg = _write(tmp_path, dict(P1_CFG, options={"x_points": []}))
-    assert main(["--config", cfg, "flow"]) == 2
-    assert main(["--config", cfg, "evaluate"]) == 2
+    # an empty list option is a config error, h_values too
+    for opts, command in (
+        ({"x_points": []}, "flow"),
+        ({"x_points": []}, "evaluate"),
+        ({"h_values": []}, "tau"),
+        ({"h_values": ""}, "tau"),
+    ):
+        cfg = _write(tmp_path, dict(P1_CFG, options=opts))
+        assert main(["--config", cfg, command]) == 2, opts
 
 
 def test_zero_tol_exit_code():
@@ -272,6 +305,7 @@ def test_non_positive_options_exit_code(tmp_path):
     ):
         cfg = _write(tmp_path, dict(P1_CFG, options=opts))
         assert main(["--config", cfg, command]) == 2, opts
+    assert main([*P1_FLAGS, "--c0", "1", "monodromy", "--radius", "-1"]) == 2
 
 
 def _count_flow_fevals(monkeypatch) -> dict:

@@ -237,9 +237,19 @@ def test_seed_state_rejects_small_x():
         seed_state(P1, 5j)
 
 
-def test_seed_at_rejects_non_finite_x(deadline):
-    # |nan| would keep the radius doubling loop from ever reaching its ceiling
+def test_integrate_rejects_non_finite_target(deadline):
+    # a NaN target raises instead of giving a state at x = nan, unchanged
     deadline(10)
-    for x in (complex("nan"), complex("nan+nanj"), complex(0, math.inf)):
+    s = _series_state(P1, 200j)
+    for x in (complex("nan"), complex(0, math.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            integrate(s, x, 1e-12)
+
+
+def test_seed_at_rejects_non_finite_x(deadline):
+    # |nan| would keep the radius doubling loop from ever reaching its
+    # ceiling, and radius 0 would double to 0 forever
+    deadline(10)
+    for x in (complex("nan"), complex("nan+nanj"), complex(0, math.inf), 0j):
         with pytest.raises(DomainError, match="not finite"):
             seed_at(P1, x)

@@ -300,7 +300,7 @@ def test_domain_check_examples():
 
 
 def test_series_domain_gate_agrees_with_domain_check():
-    for x in (5j, 30j, 100j, 400j, -20.0 + 100j, 25.0 + 100j, 100.0 + 1j, -100j):
+    for x in (0j, 5j, 30j, 100j, 400j, -20.0 + 100j, 25.0 + 100j, 100.0 + 1j, -100j):
         inside = domain_check(P1, x)
         try:
             series_A_pair(P1, x)
@@ -313,4 +313,8 @@ def test_series_domain_gate_agrees_with_domain_check():
 def test_series_outside_domain_raises():
     with pytest.raises(DomainError):
         series_A_pair(P1, 5j)
+    # the degenerate series checks no strip, but has no log at x = 0
+    for kind in DegenerateKind:
+        with pytest.raises(DomainError):
+            series_A_pair_degenerate(P1, 0j, kind)
 
