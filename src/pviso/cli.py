@@ -109,7 +109,8 @@ def _reject(v, what: str):
 
 def _positive(v) -> float:
     f = float(v)
-    return f if math.isfinite(f) and f > 0.0 else _reject(v, "a finite number > 0")
+    ok = not isinstance(v, bool) and math.isfinite(f) and f > 0.0
+    return f if ok else _reject(v, "a finite number > 0")
 
 
 def _integer(v) -> int:

@@ -1,5 +1,9 @@
 """Adaptive embedded Runge-Kutta transport kernel for complex vector fields.
 
+Its only caller is ``monodromy``, which steps the linear system around
+its contours with it; the flow of (A0, Ax) has its own Taylor kernel in
+``flow``.
+
 The method is DOP853, the explicit 8th-order pair of Dormand and Prince
 with Hairer's combined 5th/3rd-order error estimate (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., §II.10).

@@ -45,6 +45,18 @@ P8Z_CFG = {
     }
 }
 
+# criterion 8's pole-lattice parameter set
+P8P_CFG = {
+    "parameters": {
+        "theta0": 0.05,
+        "thetax": 0.45,
+        "thetainf": 0.1,
+        "c0": 1.0,
+        "cx": 25.0,
+        "sigma": 0.3,
+    }
+}
+
 
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -225,17 +237,21 @@ def test_zero_c0_braid_exit_code():
     assert main([*P1_FLAGS, "--c0", "0", "braid"]) == 2
 
 
-def test_malformed_option_exit_code(tmp_path):
-    # an integer option takes no bool and no fraction from a config
+def test_malformed_option_exit_code(tmp_path, capsys):
+    # an integer option takes no bool and no fraction from a config, and a
+    # positive one no bool (true would run as 1)
     for opts, command in (
         ({"tol": "x"}, "monodromy"),
         ({"steps": 2.9}, "braid"),
         ({"steps": math.inf}, "braid"),
         ({"m_from": True, "m_to": 3, "refine": False}, "zeros"),
         ({"m_from": 1, "m_to": 3.7, "refine": False}, "poles"),
+        ({"root_tol": True}, "zeros"),
+        ({"tol": True}, "monodromy"),
     ):
         cfg = _write(tmp_path, dict(P1_CFG, options=opts))
         assert main(["--config", cfg, command]) == 2, opts
+        assert capsys.readouterr().err.startswith("config error:"), opts
     # a flag's text takes the same coercion: main returns 2, argparse
     # does not exit
     for flags in (
@@ -308,39 +324,45 @@ def test_non_positive_options_exit_code(tmp_path):
     assert main([*P1_FLAGS, "--c0", "1", "monodromy", "--radius", "-1"]) == 2
 
 
-def _count_flow_fevals(monkeypatch) -> dict:
-    """Count the field calls of every flow transport from now on."""
-    calls = {"nfev": 0}
-    transport = flow.integrate_rk54
+def _count_flow_steps(monkeypatch) -> dict:
+    """Count the Taylor steps of every flow transport from now on, and
+    the coefficient orders they build."""
+    calls = {"steps": 0, "orders": 0}
+    step = flow._taylor_step
 
-    def counting(f, *args, **kwargs):
-        def g(*a):
-            calls["nfev"] += 1
-            return f(*a)
+    def counting(*args):
+        h, coefficients = step(*args)
+        calls["steps"] += 1
+        calls["orders"] += len(coefficients[0]) - 1
+        return h, coefficients
 
-        return transport(g, *args, **kwargs)
-
-    monkeypatch.setattr(flow, "integrate_rk54", counting)
+    monkeypatch.setattr(flow, "_taylor_step", counting)
     return calls
 
 
 def test_zeros_feval_budget(tmp_path, monkeypatch):
-    # criterion 8's zero lattice: one series seed, then one transport per
-    # root with Newton derivatives from the vector field (60,028 field
-    # calls with two walks per root and finite-difference hops)
-    calls = _count_flow_fevals(monkeypatch)
+    # criterion 8's lattices: one series seed, then one transport per root
+    # with Newton derivatives from the vector field.  The Taylor kernel
+    # takes 186 steps of 3,326 orders for the zeros and 153 of 2,836 for
+    # the poles (DOP853 made 13,279 and 12,525 field calls)
+    calls = _count_flow_steps(monkeypatch)
     cfg = _write(tmp_path, P8Z_CFG)
     rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "10", "--m-to", "40"])
     assert rc == 0
     assert all(row["residual"] <= 1e-9 for row in doc["result"]["table"])
     assert all(0.0 < row["root_error"] <= 1e-5 for row in doc["result"]["table"])
     # the degree-5 series is seeded at the top zero itself: no 2|top| -> top
-    # transport (33,764 field calls with it)
+    # transport (33,764 DOP853 field calls with it)
     top = doc["result"]["table"][-1]["seed"][1]
     anchor = doc["result"]["anchor"]
     assert anchor["degree"] == 5 and anchor["seed_radius"] == top
     assert 0.0 < anchor["seed_truncation"] <= 1e-10
-    assert calls["nfev"] <= 20_000
+    assert calls["steps"] <= 200 and calls["orders"] <= 3_500
+    calls.update(steps=0, orders=0)
+    rc, doc = _run(tmp_path, ["--config", _write(tmp_path, P8P_CFG), "poles",
+                              "--m-from", "10", "--m-to", "40"])
+    assert rc == 0 and all(row["residual"] <= 1e-9 for row in doc["result"]["table"])
+    assert calls["steps"] <= 165 and calls["orders"] <= 3_000
 
 
 def test_zeros_top_below_20i(tmp_path):
@@ -355,15 +377,16 @@ def test_zeros_top_below_20i(tmp_path):
 
 def test_verify_feval_budget(tmp_path, monkeypatch):
     # the degree-5 series passes its drift budget at 160i, two doublings
-    # above x = 40i (61,406 field calls with a degree-3 seed at 300i and a
-    # second transport from 600i)
-    calls = _count_flow_fevals(monkeypatch)
+    # above x = 40i (61,406 DOP853 field calls with a degree-3 seed at 300i
+    # and a second transport from 600i, 7,693 from 160i); the Taylor
+    # kernel carries it to 40i in 39 steps of 1,167 orders
+    calls = _count_flow_steps(monkeypatch)
     rc, doc = _run(tmp_path, ["--config", _write(tmp_path, P1_CFG), "verify"])
     assert rc == 0
     seed = doc["result"]["seed"]
     assert seed["seed_radius"] == 160.0 and seed["degree"] == 5
     assert 0.0 < seed["seed_truncation"] <= 1e-10
-    assert calls["nfev"] <= 9_000
+    assert calls["steps"] <= 45 and calls["orders"] <= 1_250
 
 
 def _strict_json(text):

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import DomainError, OriginError, PathError, PvisoValueError
+from pviso.errors import DomainError, OriginError, PathError, PvisoValueError, StepUnderflowError
 from pviso.flow import (
+    MAX_ORDER,
     FlowState,
     _flow_field,
+    _taylor_step,
     integrate,
     refine_from_series,
     rhs,
     seed_at,
     seed_state,
 )
-from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat_norm, tr2
+from pviso.linalg import DELTA_MINUS, DELTA_PLUS, J, commutator, det2, mat, mat_norm, tr2
 from pviso.series import Parameters, axis_radii, domain_check, series_A_pair, series_seed
 
 P1 = Parameters(
@@ -83,6 +85,60 @@ def test_flow_field_matches_matrix_formula():
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def test_taylor_recurrence():
+    # the order-1 coefficient is the field at the expansion point, and the
+    # coefficients of the conserved (A0 + Ax)_11 cancel exactly past order 0
+    x0, x1 = 200j, 5.0 + 30j
+    u = (x1 - x0) / abs(x1 - x0)
+    for xs in (200j, 60j):
+        ab = series_A_pair(P1, xs)
+        full = [*ab.A0.ravel().tolist(), *ab.Ax.ravel().tolist()]
+        y = tuple(full[i] for i in (0, 1, 2, 4, 5, 6))
+        h, cols = _taylor_step(xs, u, y, 1e-12, 1e6)
+        assert 0.0 < h < 1e6 and all(len(col) == MAX_ORDER + 1 for col in cols)
+        assert [col[0] for col in cols] == list(y)
+        field = _flow_field(xs, u)(0.0, full)
+        ref = np.array([field[i] for i in (0, 1, 2, 4, 5, 6)])
+        got = np.array([col[1] for col in cols])
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert all(a + e == 0.0 for a, e in zip(cols[0][1:], cols[3][1:]))
+
+
+def test_taylor_step_reaches_span():
+    # orders are added up to the first k >= 2 whose step
+    # h_k = 0.9 min(r_{k-1}, r_k), r_n = (eps / |y_n|)^(1/n), reaches the
+    # span; a zero state allows any step at order 2
+    ab = series_A_pair(P1, 100j)
+    y = (*ab.A0.ravel()[:3].tolist(), *ab.Ax.ravel()[:3].tolist())
+    span = 0.05
+    h, cols = _taylor_step(100j, -1j, y, 1e-12, span)
+    eps = 1e-12 * (1.0 + max(map(abs, y)))
+    order = len(cols[0]) - 1
+    r = [(eps / max(abs(col[n]) for col in cols)) ** (1.0 / n) for n in range(1, order + 1)]
+    steps = [0.9 * min(r[n - 2], r[n - 1]) for n in range(2, order + 1)]
+    assert 2 < order < MAX_ORDER and h == steps[-1] >= span > max(steps[:-1])
+    h, cols = _taylor_step(100j, -1j, (0j,) * 6, 1e-12, 1e6)
+    assert h == math.inf and len(cols[0]) == 3
+
+
+def test_taylor_transport_raises_instead_of_looping(deadline):
+    # a NaN state, coefficients that overflow (entries 1e200), and a
+    # transport into a pole of the solution on the real axis (steps that
+    # shrink towards it until the coefficients overflow) all raise
+    # StepUnderflowError; the kernel never steps on with a NaN h
+    deadline(10)
+    half = P1.thetainf / 2.0
+    nan = complex("nan")
+    p = P1.replace(thetainf=0.0)
+    for s, target in (
+        (FlowState(x=200j, A0=mat(nan, 0, 0, nan), Ax=mat(-half, 0, 0, half), params=P1), 60j),
+        (FlowState(x=200j, A0=mat(0, 1e200, 1e200, 0), Ax=mat(-half, 1e200, -1e200, half), params=P1), 60j),
+        (FlowState(x=2.0, A0=np.array(DELTA_PLUS), Ax=np.array(DELTA_MINUS), params=p), 40.0),
+    ):
+        with pytest.raises(StepUnderflowError):
+            integrate(s, target, 1e-12)
+
+
 def test_flow_state_validation_raises_value_error():
     ab = series_A_pair(P1, 200j)
     with pytest.raises(PvisoValueError):
@@ -107,16 +163,27 @@ def test_integrate_path_through_origin_rejected():
 def test_flow_matches_series_within_truncation():
     # the series evaluated at the target is an oracle for the transport:
     # the degree-5 state at 200i carried to 60i lies within the degree-5
-    # series' own truncation there (gap 5.9e-11, truncation 6.6e-10)
+    # series' own truncation there (gap 5.7e-11, truncation 6.6e-10)
     A0, Ax, _ = series_seed(P1, 200j, 5)
     out = integrate(FlowState(x=200j, A0=A0, Ax=Ax, params=P1), 60j, 1e-12)
     A0, Ax, truncation = series_seed(P1, 60j, 5)
     assert max(mat_norm(out.A0 - A0), mat_norm(out.Ax - Ax)) <= truncation
 
 
+def test_transport_matches_degree_20_series():
+    # the degree-20 series is an oracle far sharper than the transport:
+    # its truncation at 40i is 3.9e-17.  Carried from 400i to 40i, the
+    # degree-20 seed lands 2.4e-14 from it (DOP853 landed 2.3e-12)
+    A0, Ax, _ = series_seed(P1, 400j, 20)
+    out = integrate(FlowState(x=400j, A0=A0, Ax=Ax, params=P1), 40j, 1e-12)
+    A0, Ax, truncation = series_seed(P1, 40j, 20)
+    assert truncation <= 1e-16
+    assert max(mat_norm(out.A0 - A0), mat_norm(out.Ax - Ax)) <= 1e-13
+
+
 def test_seed_state_matches_series_at_x():
     # seed_state at 40i seeds at 160i; the degree-8 series at 40i itself
-    # bounds the seed and transport error together (gap 7.1e-12,
+    # bounds the seed and transport error together (gap 4.9e-12,
     # truncation 2.0e-11)
     state = seed_state(P1, 40j).state
     A0, Ax, truncation = series_seed(P1, 40j, 8)
@@ -202,7 +269,7 @@ def test_refine_waypoint_polyline():
 def test_seed_state_off_axis():
     # seeded on the axis at i|x| or a doubling of it and transported to x,
     # against a degree-3 seed at 1200i (which agrees with one at 2400i to
-    # 2.2e-12 at -2 + 45i); the reference for 3 + 41i is carried on from
+    # 1.1e-12 at -2 + 45i); the reference for 3 + 41i is carried on from
     # -2 + 45i
     reference = refine_from_series(P1, 1200.0, -2.0 + 45j, 1e-13).state
     for x in (-2.0 + 45j, 3.0 + 41j):
