@@ -263,6 +263,8 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
                 scaled_error=scaled,
                 residual=fval,
                 root_error=root_error,
+                source=lattice.sources[i],
+                seed_truncation=lattice.seed_truncations[i],
             )
             csv_scaled = math.nan if scaled is None else scaled
             row += [st.x.real, st.x.imag, err, csv_scaled, fval, root_error]
@@ -277,7 +279,7 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
         "pass": lattice.smallness_pass,
     }
     result = {"kind": kind.value, "rho": _c2w(lattice.rho), "smallness": smallness, "table": entries}
-    if refine:
+    if refine and lattice.anchor is not None:
         result["anchor"] = _seed_to_wire(lattice.anchor)
     return result, [header, rows]
 

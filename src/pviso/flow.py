@@ -41,6 +41,11 @@ _SEED_CHECK_TOL = 1e-12
 SEED_DEGREE = 5
 # highest order of a Taylor step of the flow
 MAX_ORDER = 30
+# a segment of length L may take max(MIN_STEP_BUDGET, STEPS_PER_UNIT L)
+# steps; no state a series seeds comes near it (criterion 1's 360-long
+# flow takes 115), while a state with entries ~1e15 would step ~1e-9
+MIN_STEP_BUDGET = 1_000
+STEPS_PER_UNIT = 10
 
 
 @dataclass
@@ -143,23 +148,29 @@ def _taylor_step(xs: complex, u: complex, y: tuple, tol: float, span: float):
     Ax = [[e, g], [k, -e]].  With Q = [Ax, A0] and L y the off-diagonal
     (Ax_01, -Ax_10) on the Ax rows, the coefficients obey
     xs (n+1) y_{n+1} = +-u Q_n - u n y_n + u (xs L y_n + u L y_{n-1}),
-    + on the A0 rows and - on the Ax rows, where Q_n is a Cauchy product
-    of the coefficients so far.  Orders are added until, at the first
-    order k >= 2, the step h = 0.9 min(r_{k-1}, r_k) reaches ``span``,
-    or k = ``MAX_ORDER``; r_n = (eps / |y_n|)^(1/n), with max-abs norms
-    and eps = tol (1 + max|y|).  A coefficient that is not finite raises
+    + on the A0 rows and - on the Ax rows, where Q_n comes from Cauchy
+    products of the coefficients so far.  Since Q = [A0 + Ax, A0] and
+    A0 + Ax = [[s, B], [C, -s]] has the constant diagonal s = a + e, four
+    products per order suffice: on B = b + g and C = c + k,
+    Q_00 = B c - b C, Q_01 = 2 (s b - a B), Q_10 = 2 (a C - s c).
+    Orders are added until, at the first order k >= 2, the step
+    h = 0.9 min(r_{k-1}, r_k) reaches ``span``, or k = ``MAX_ORDER``;
+    r_n = (eps / |y_n|)^(1/n), with max-abs norms and
+    eps = tol (1 + max|y|).  A coefficient that is not finite raises
     StepUnderflowError.
 
     Returns h and the coefficients of orders 0..k, one list per entry of y.
     """
     a, b, c, e, g, k = cols = tuple([z] for z in y)
+    diag = a[0] + e[0]
+    bsum, csum = [b[0] + g[0]], [c[0] + k[0]]
     w = u / xs
     eps = tol * (1.0 + max(map(abs, y)))
     r_prev = h = math.inf
     for n in range(MAX_ORDER):
-        q00 = sum(map(mul, g, reversed(c))) - sum(map(mul, b, reversed(k)))
-        q01 = 2.0 * (sum(map(mul, b, reversed(e))) - sum(map(mul, g, reversed(a))))
-        q10 = 2.0 * (sum(map(mul, k, reversed(a))) - sum(map(mul, c, reversed(e))))
+        q00 = sum(map(mul, bsum, reversed(c))) - sum(map(mul, b, reversed(csum)))
+        q01 = 2.0 * (diag * b[n] - sum(map(mul, a, reversed(bsum))))
+        q10 = 2.0 * (sum(map(mul, a, reversed(csum))) - diag * c[n])
         lg = xs * g[n] + (u * g[n - 1] if n else 0.0)
         lk = xs * k[n] + (u * k[n - 1] if n else 0.0)
         s = w / (n + 1)
@@ -177,6 +188,8 @@ def _taylor_step(xs: complex, u: complex, y: tuple, tol: float, span: float):
             raise StepUnderflowError(f"non-finite Taylor coefficient of order {n + 1} at x = {xs}")
         for col, z in zip(cols, new):
             col.append(z)
+        bsum.append(new[1] + new[4])
+        csum.append(new[2] + new[5])
         size = max(map(abs, new))
         r = (eps / size) ** (1.0 / (n + 1)) if size > 0.0 else math.inf
         if n:
@@ -205,7 +218,7 @@ def _transport_segment(x0, A0, Ax, x1, tol):
     (a, b), (c, _) = A0.tolist()
     (e, g), (k, _) = Ax.tolist()
     y, t = (a, b, c, e, g, k), 0.0
-    while True:
+    for _ in range(math.ceil(max(MIN_STEP_BUDGET, STEPS_PER_UNIT * length))):
         h, cols = _taylor_step(x0 + t * u, u, y, tol_local, length - t)
         if h >= length - t:
             break
@@ -213,6 +226,10 @@ def _transport_segment(x0, A0, Ax, x1, tol):
             raise StepUnderflowError(f"step size underflow at x = {x0 + t * u} (h = {h})")
         y = tuple(_horner(col, h) for col in cols)
         t += h
+    else:
+        raise StepUnderflowError(
+            f"step budget of the segment [{x0}, {x1}] spent at x = {x0 + t * u} (h = {h})"
+        )
     a, b, c, e, g, k = (_horner(col, length - t) for col in cols)
     return mat(a, b, c, -a), mat(e, g, k, -e)
 

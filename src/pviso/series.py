@@ -24,7 +24,11 @@ E^n x^-k comes from powers of E+, E- and 1/x.
 ``series_seed`` evaluates the pair at any degree together with its seed
 truncation, the largest entry of the degree-D terms' contribution to A0
 and Ax; ``series_A_pair`` is its degree 3.  Both evaluate the pair only
-in the admissible strip, where |E+| and |E-| stay below ``EPS``.
+in the admissible strip, where |E+| and |E-| stay below ``EPS``.  The
+zero/pole lattice roots lie beyond it, where the double series still
+converges; ``_sector_seed`` evaluates the pair there for
+``transcendents.series_root``, which trusts it only as far as the
+truncation it returns.
 """
 
 from __future__ import annotations
@@ -147,6 +151,12 @@ def leading_lambda_matrices(p: Parameters) -> tuple[np.ndarray, np.ndarray]:
     return lam0, lamx
 
 
+def _in_sector(x: complex) -> bool:
+    """The parts of ``domain_check`` that do not depend on the
+    parameters: |arg x - pi/2| < pi/2 - 0.1 and |x| > 20."""
+    return abs(cmath.phase(x) - math.pi / 2.0) < math.pi / 2.0 - 0.1 and abs(x) > 20.0
+
+
 def domain_check(p: Parameters, x: complex) -> bool:
     """True iff x lies in the sector-like strip where both expansion
     variables E+ and E- have modulus below EPS.
@@ -159,9 +169,9 @@ def domain_check(p: Parameters, x: complex) -> bool:
       (1-Re sigma) log|x| + Im sigma * arg x - log(1/EPS).
     """
     x = complex(x)
-    ax = cmath.phase(x)
-    if abs(ax - math.pi / 2.0) >= math.pi / 2.0 - 0.1 or abs(x) <= 20.0:
+    if not _in_sector(x):
         return False
+    ax = cmath.phase(x)
     lx = math.log(abs(x))
     leps = math.log(1.0 / EPS)
     s = p.sigma
@@ -388,11 +398,16 @@ def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
     return ((p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm), coefs, basis
 
 
-def _expansion(p: Parameters, x: complex):
-    """The principal-branch log of x and e^x, E+, E-, 1/x there, after
-    the strip check."""
+def _in_strip(p: Parameters, x: complex) -> complex:
+    """x as a complex number; DomainError unless it passes ``domain_check``."""
+    x = complex(x)
     if not domain_check(p, x):
         raise DomainError(f"x = {x} outside the admissible strip (eps = {EPS})")
+    return x
+
+
+def _expansion(p: Parameters, x: complex):
+    """The principal-branch log of x and e^x, E+, E-, 1/x there."""
     lx = complex(math.log(abs(x)), cmath.phase(x))
     ex = cmath.exp(x)
     x_s1 = branched_power(lx, p.sigma - 1.0)  # x^(sigma-1)
@@ -418,8 +433,7 @@ def _ab_pair(p, lx, ex, f0, fp, gp, fm, gm) -> ABPair:
 def series_A_pair(p: Parameters, x: complex) -> ABPair:
     """The pair (A0, Ax) of the generic three-parameter series at x from
     every term of total degree <= 3 (see the module docstring)."""
-    x = complex(x)
-    lx, ex, ep, em, ix = _expansion(p, x)
+    lx, ex, ep, em, ix = _expansion(p, _in_strip(p, x))
     return _ab_pair(p, lx, ex, *_l2_components(p, ep, em, ix)[0])
 
 
@@ -430,7 +444,17 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     contribution to A0 and Ax.  That last order overestimates the error
     of the sum (at 250i and degree 5, by 30-50x against a degree-12
     series).  Raises DomainError outside the admissible strip."""
+    return _sector_seed(p, _in_strip(p, x), degree)
+
+
+def _sector_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``series_seed`` without its strip test: x need only lie in the
+    sector of ``domain_check`` (|arg x - pi/2| < pi/2 - 0.1, |x| > 20),
+    else DomainError.  Beyond the strip the sum still converges for a
+    while, and only the truncation it returns says how far to trust it."""
     x = complex(x)
+    if not _in_sector(x):
+        raise DomainError(f"x = {x} outside the sector |arg x - pi/2| < pi/2 - 0.1, |x| > 20")
     lx, ex, ep, em, ix = _expansion(p, x)
     components, coefs, basis = _l2_components(p, ep, em, ix, degree)
     ab = _ab_pair(p, lx, ex, *components)

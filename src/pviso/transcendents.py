@@ -8,7 +8,10 @@ y is the quotient
 
 which stays computable from the matrix pair right through the zeros and
 poles of y itself (the pair is holomorphic there; only the quotient
-degenerates).  Root refinement therefore rides on flow transport.
+degenerates).  So a root is refined by Newton on the pair: on the
+degree-12 series pair wherever its measured truncation allows
+(``series_root``), and on flow-transported states elsewhere
+(``refine_root``).
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
+    DomainError,
     PvisoNumericalError,
     PvisoValueError,
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, Seed, integrate, ray_stencil, rhs, seed_at
-from .series import Parameters, domain_check, smallness_score
+from .flow import FlowState, Seed, _drift_budget, integrate, ray_stencil, rhs, seed_at
+from .series import Parameters, _sector_seed, domain_check, smallness_score
 
 __all__ = [
     "PVPoint",
@@ -41,13 +45,18 @@ __all__ = [
     "zero_pole_seeds",
     "root_check",
     "refine_root",
+    "series_root",
     "refine_lattice",
     "backlund_pi",
 ]
 
 _POLE_CUTOFF = 1e-13
-# Newton steps refine_root takes before it gives up
+# Newton steps refine_root and series_root take before they give up
 MAX_NEWTON = 30
+# a root is accepted once |F| <= root_tol and its Newton step is this small
+ROOT_STEP = 1e-12
+# total degree of the series pair series_root runs Newton on
+ROOT_SERIES_DEGREE = 12
 
 
 class LatticeKind(str, enum.Enum):
@@ -81,9 +90,13 @@ class SeedLattice:
     seeds: list[tuple[int, complex]]
     score: float  # series.smallness_score of the parameters
     strip_level: float  # |rho c| for zeros, 1/|rho c| for poles
-    # set by refine_lattice: the state at each root, and the seed of the
-    # anchor state on the axis at the top seed
+    # set by refine_lattice, in seed order: the state at each root, how it
+    # was reached ("series" or "transport"), and the seed truncation of the
+    # series behind it; and the seed of the anchor state on the axis at the
+    # top seed, when the top root was transported
     roots: list[FlowState] | None = None
+    sources: list[str] | None = None
+    seed_truncations: list[float] | None = None
     anchor: Seed | None = None
 
     @property
@@ -263,18 +276,58 @@ def refine_root(
     step.  The step comes from ``_newton``: exact, from the flow's vector
     field, at no extra transport.
 
-    Returns the state at the root, whose ``.x`` has |y| <= tol (resp.
-    |1/y| <= tol).
+    Returns the state at the root, where |y| <= tol (resp. |1/y| <= tol)
+    and the Newton step is at most ``ROOT_STEP``.
     """
     state = integrate(state, complex(seed), flow_tol)
     for _ in range(MAX_NEWTON):
         f, step = _newton(state, kind)
-        if abs(f) <= tol:
+        if abs(f) <= tol and abs(step) <= ROOT_STEP:
             return state
         if abs(step) > 2.0:
             raise ConvergenceError(f"Newton step {abs(step):.2f} leaves the basin of seed {seed}")
         state = integrate(state, state.x + step, flow_tol)
     raise ConvergenceError(f"no convergence after {MAX_NEWTON} Newton iterations")
+
+
+def series_root(
+    p: Parameters,
+    seed: complex,
+    kind: LatticeKind,
+    tol: float = 1e-9,
+    *,
+    flow_tol: float = 1e-12,
+) -> tuple[FlowState, float] | None:
+    """Newton refinement of a root, as ``refine_root`` does it, on the
+    series pair of total degree ``ROOT_SERIES_DEGREE`` at each iterate:
+    no transport.
+
+    The lattice roots lie outside the strip ``series_seed`` admits
+    (|E-| = 0.24 at P8Z's zero at m = 10), where the series still
+    converges.  So the pair is evaluated in the strip's sector alone, and
+    the root is accepted when its seed truncation fits the drift budget
+    at ``flow_tol``, the rule ``seed_at`` applies.
+
+    Returns the state at the root and its seed truncation, or None when
+    the series does not reach the root: an iterate leaves the sector or
+    the series overflows there, a Newton step leaves the seed's basin
+    (> 2), Newton does not converge, or the truncation at the root is
+    over the budget.
+    """
+    x = complex(seed)
+    for _ in range(MAX_NEWTON):
+        try:
+            A0, Ax, truncation = _sector_seed(p, x, ROOT_SERIES_DEGREE)
+        except (DomainError, ArithmeticError):
+            return None
+        state = FlowState(x=x, A0=A0, Ax=Ax, params=p)
+        f, step = _newton(state, kind)
+        if abs(f) <= tol and abs(step) <= ROOT_STEP:
+            return (state, truncation) if truncation <= _drift_budget(A0, Ax, flow_tol) else None
+        if not abs(step) <= 2.0:
+            return None
+        x += step
+    return None
 
 
 def refine_lattice(
@@ -286,20 +339,32 @@ def refine_lattice(
     root_tol: float = 1e-9,
     flow_tol: float = 1e-12,
 ) -> SeedLattice:
-    """The seeds of ``zero_pole_seeds`` for m_from..m_to refined by
-    ``refine_root`` from the top down: the anchor state comes from
-    ``flow.seed_at`` on the axis at the top seed, and every root starts
-    from the state at the root above.  The returned lattice's ``roots``
-    holds the state at each root, in seed order, and ``anchor`` the
-    anchor's seed."""
+    """The seeds of ``zero_pole_seeds`` for m_from..m_to refined from the
+    top down.  Each root is tried first by ``series_root``, which needs
+    no transport.  A root the series does not reach is refined by
+    ``refine_root``, from the state at the root above, or at the top seed
+    from an anchor state that ``flow.seed_at`` seeds on the axis.
+
+    The returned lattice's ``roots`` holds the state at each root in seed
+    order, ``sources`` says which path reached it, and
+    ``seed_truncations`` gives the seed truncation of the series behind
+    it: its own for a series root, and that of the state it was carried
+    from for a transported one.  ``anchor`` is the anchor's seed, or None
+    when the top root came from the series."""
     lattice = zero_pole_seeds(p, kind, m_from, m_to)
-    lattice.anchor = seed_at(p, 1j * lattice.seeds[-1][1].imag, flow_tol)
-    state = lattice.anchor.state
-    roots = []
+    state, truncation, found = None, None, []
     for _, seed in reversed(lattice.seeds):
-        state = refine_root(seed, kind, root_tol, state=state, flow_tol=flow_tol)
-        roots.append(state)
-    lattice.roots = roots[::-1]
+        hit = series_root(p, seed, kind, root_tol, flow_tol=flow_tol)
+        if hit is not None:
+            (state, truncation), source = hit, "series"
+        else:
+            if state is None:
+                lattice.anchor = seed_at(p, 1j * seed.imag, flow_tol)
+                state, truncation = lattice.anchor.state, lattice.anchor.seed_truncation
+            state = refine_root(seed, kind, root_tol, state=state, flow_tol=flow_tol)
+            source = "transport"
+        found.append((state, source, truncation))
+    lattice.roots, lattice.sources, lattice.seed_truncations = map(list, zip(*reversed(found)))
     return lattice
 
 

@@ -122,10 +122,12 @@ def test_taylor_step_reaches_span():
 
 
 def test_taylor_transport_raises_instead_of_looping(deadline):
-    # a NaN state, coefficients that overflow (entries 1e200), and a
-    # transport into a pole of the solution on the real axis (steps that
-    # shrink towards it until the coefficients overflow) all raise
-    # StepUnderflowError; the kernel never steps on with a NaN h
+    # a NaN state, coefficients that overflow (entries 1e200), a transport
+    # into a pole of the solution on the real axis (steps that shrink
+    # towards it until the coefficients overflow), and entries 1e15, whose
+    # steps of ~1e-9 sit above the floor but spend the segment's step
+    # budget, all raise StepUnderflowError; the kernel never steps on with
+    # a NaN h
     deadline(10)
     half = P1.thetainf / 2.0
     nan = complex("nan")
@@ -133,6 +135,7 @@ def test_taylor_transport_raises_instead_of_looping(deadline):
     for s, target in (
         (FlowState(x=200j, A0=mat(nan, 0, 0, nan), Ax=mat(-half, 0, 0, half), params=P1), 60j),
         (FlowState(x=200j, A0=mat(0, 1e200, 1e200, 0), Ax=mat(-half, 1e200, -1e200, half), params=P1), 60j),
+        (FlowState(x=200j, A0=mat(0, 1e15, 1e15, 0), Ax=mat(-half, 1e15, -1e15, half), params=P1), 60j),
         (FlowState(x=2.0, A0=np.array(DELTA_PLUS), Ax=np.array(DELTA_MINUS), params=p), 40.0),
     ):
         with pytest.raises(StepUnderflowError):
