@@ -5,7 +5,7 @@ Subpackages by concern:
 
 - ``linalg``        complex 2x2 algebra, powers on a given branch of log
 - ``special``       complex Gamma / reciprocal Gamma / digamma
-- ``series``        truncated series solutions and its degenerate branches
+- ``series``        truncated series solutions, generic and two-parameter alike
 - ``flow``          adaptive transport under the deformation equations
 - ``monodromy``     numeric monodromy and Stokes data via loop continuation
 - ``closedform``    Gamma-function formulas for the same monodromy data

@@ -31,7 +31,8 @@ class ZeroConstantError(PvisoValueError):
 
 
 class DegenerateParameterError(PvisoValueError):
-    """Degenerate-family evaluation with unmet parameter conditions."""
+    """A zero/pole lattice asked for where its leading asymptotics degenerate
+    (the theta conditions of ``transcendents.zero_pole_seeds``)."""
 
 
 class DomainError(PvisoValueError):

@@ -15,7 +15,9 @@ with all coefficients solved order by order from the Schlesinger system
 at the given parameters (the formal-transseries method of Costin,
 "Asymptotics and Borel Summability", 2008).  It reproduces every
 coefficient the paper prints and adds the ones it leaves out, including
-eight at total degree 2.
+eight at total degree 2.  The solve divides by no parameter, so the
+two-parameter families are this same series at sigma =
+``sigma_deg_plus`` (where gxm = 0) and ``sigma_deg_minus`` (g0m = 0).
 
 The order-by-order solver is generic in the total degree D: the plan
 of the solve is built from the term list once per degree, on first use,
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import enum
 import functools
 import math
 import sys
@@ -43,19 +44,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError, ZeroConstantError
-from .linalg import DELTA_MINUS, DELTA_PLUS, J, branched_power, mat
+from .errors import DomainError, ZeroConstantError
+from .linalg import branched_power, mat
 
 __all__ = [
     "Parameters",
     "GammaQuad",
     "ABPair",
-    "DegenerateKind",
     "gamma_quad",
-    "leading_lambda_matrices",
     "series_A_pair",
     "series_seed",
-    "series_A_pair_degenerate",
     "domain_check",
     "axis_radii",
     "smallness_score",
@@ -84,13 +82,6 @@ class Parameters:
         return self.cx / self.c0
 
     @property
-    def cprime(self) -> complex:
-        """c0 / cx."""
-        if self.cx == 0:
-            raise ZeroConstantError("c' undefined: cx = 0")
-        return self.c0 / self.cx
-
-    @property
     def sigma_deg_plus(self) -> complex:
         """The sigma value -2*thetax - thetainf of the two-parameter branch."""
         return -2.0 * self.thetax - self.thetainf
@@ -114,11 +105,6 @@ class GammaQuad:
     gxm: complex
 
 
-class DegenerateKind(str, enum.Enum):
-    TWO_PARAM = "two-param"
-    ONE_PARAM = "one-param"
-
-
 @dataclass
 class ABPair:
     """The pair (A0, Ax) at one point: A0 = mat(f0, f+, f-, -f0) and
@@ -138,17 +124,6 @@ def gamma_quad(p: Parameters) -> GammaQuad:
         gxp=p.cx * (-s + 2.0 * tx - ti) / 4.0,
         gxm=(s + 2.0 * tx + ti) / (4.0 * p.cx),
     )
-
-
-def leading_lambda_matrices(p: Parameters) -> tuple[np.ndarray, np.ndarray]:
-    """The constant matrices the pair approaches on the ray: eigenvalues
-    +-theta0/2 and +-thetax/2, with row-sum condition on the diagonal."""
-    g = gamma_quad(p)
-    lam0 = ((p.sigma - p.thetainf) / 4.0) * J + g.g0p * DELTA_PLUS + g.g0m * DELTA_MINUS
-    lamx = (
-        -((p.sigma + p.thetainf) / 4.0) * J + g.gxp * DELTA_PLUS + g.gxm * DELTA_MINUS
-    )
-    return lam0, lamx
 
 
 def _in_sector(x: complex) -> bool:
@@ -463,64 +438,3 @@ def _sector_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np
     truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, lx, ex, *tail)))
     return ab.A0, ab.Ax, truncation
 
-
-def series_A_pair_degenerate(p: Parameters, x: complex, kind: DegenerateKind) -> ABPair:
-    """The pair (A0, Ax) of the degenerate families at sigma =
-    -2*thetax - thetainf.
-
-    TWO_PARAM keeps cx free (single exponential series in E+); ONE_PARAM
-    additionally sets cx = 0, leaving a pure asymptotic pair.  Only the
-    printed leading terms are evaluated.
-    """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("the degenerate series has no value at x = 0")
-    lx = complex(math.log(abs(x)), cmath.phase(x))  # principal log x
-    t0, tx, ti = p.theta0, p.thetax, p.thetainf
-    s0 = -2.0 * tx - ti
-
-    g0p_s = p.c0 * (t0 - tx - ti) / 2.0
-    g0m_s = (t0 + tx + ti) / (2.0 * p.c0)
-
-    x_tx = branched_power(lx, tx)  # x^thetax
-    ex = cmath.exp(x)
-
-    if kind is DegenerateKind.TWO_PARAM:
-        if p.thetax == 0:
-            raise DegenerateParameterError("two-parameter branch needs thetax != 0")
-        gxp_s = p.cx * tx
-        x_s01 = branched_power(lx, s0 - 1.0)
-        ep = ex * x_s01  # e^x x^(sigma0 - 1)
-        em = 1.0 / (ex * x * x * x_s01)  # e^-x x^(-sigma0 - 1)
-        ix = 1.0 / x
-
-        f0 = -(tx + ti) / 2.0 + tx * g0p_s * g0m_s * ix * ix + g0m_s * gxp_s * ep
-        g0 = -ti / 2.0 - f0
-        # x^-thetax f+ = g0p* + gxp*(thetax + thetainf) E+ - g0m* gxp*^2 E+^2
-        fplus = (g0p_s + gxp_s * (tx + ti) * ep - g0m_s * gxp_s * gxp_s * ep * ep) * x_tx
-        # e^-x x^(thetax + thetainf) g+ = gxp* + 2 g0m* gxp*^2 E+/x + g0p* thetax E-
-        gplus = (
-            (gxp_s + 2.0 * g0m_s * gxp_s * gxp_s * ep * ix + g0p_s * tx * em)
-            * ex
-            / branched_power(lx, tx + ti)
-        )
-        # x^thetax f- = g0m* + 2 g0m*^2 gxp* E+/x
-        fminus = (g0m_s + 2.0 * g0m_s * g0m_s * gxp_s * ep * ix) / x_tx
-        # e^x x^(-thetax - thetainf) g- = g0m* thetax E+ - g0m*^2 gxp* E+^2
-        gminus = (
-            (g0m_s * tx * ep - g0m_s * g0m_s * gxp_s * ep * ep)
-            * branched_power(lx, tx + ti)
-            / ex
-        )
-    elif kind is DegenerateKind.ONE_PARAM:
-        ix = 1.0 / x
-        f0 = -(tx + ti) / 2.0 + tx * (t0 * t0 - (tx + ti) ** 2) * ix * ix / 4.0
-        g0 = -ti / 2.0 - f0
-        fplus = p.c0 * (t0 - tx - ti) * 0.5 * x_tx
-        gplus = p.c0 * (t0 - tx - ti) * (tx / 2.0) * x_tx * ix
-        fminus = (t0 + tx + ti) / (2.0 * p.c0) / x_tx
-        gminus = (t0 + tx + ti) / p.c0 * (tx / 2.0) / (x_tx * x)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(kind)
-
-    return ABPair(A0=mat(f0, fplus, fminus, -f0), Ax=mat(g0, gplus, gminus, -g0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, PvisoValueError
 from .flow import FlowState, ray_stencil
-from .series import Parameters, domain_check, gamma_quad
+from .series import Parameters, _in_strip, gamma_quad
 
 __all__ = ["TauSample", "dlog_tau", "dlog_tau_series", "tau_sample", "bilinear_residual"]
 
@@ -63,9 +63,9 @@ def dlog_tau_series(p: Parameters, x: complex) -> complex:
         - g0m gxp e^x x^(sigma-2) + g0p gxm e^-x x^(-sigma-2).
 
     The x^-2 constant term and all later brackets are intentionally not
-    included; the leading omitted term is O(x^-2)."""
-    if not domain_check(p, x):
-        raise PvisoValueError(f"x = {x} outside the admissible strip")
+    included; the leading omitted term is O(x^-2).  Raises DomainError
+    outside the admissible strip, as ``series.series_seed`` does."""
+    x = _in_strip(p, x)
     g = gamma_quad(p)
     s, ti = p.sigma, p.thetainf
     xs = cmath.exp(s * cmath.log(x))

@@ -1,6 +1,6 @@
 """The Painleve V function y (with companions z, u) from matrix data,
-its leading series, zero/pole lattices on the imaginary strip, and the
-pi-substituted Backlund transform.
+zero/pole lattices on the imaginary strip, and the pi-substituted
+Backlund transform.
 
 y is the quotient
 
@@ -31,16 +31,13 @@ from .errors import (
     StencilError,
 )
 from .flow import FlowState, Seed, _drift_budget, integrate, ray_stencil, rhs, seed_at
-from .series import Parameters, _sector_seed, domain_check, smallness_score
+from .series import Parameters, _sector_seed, smallness_score
 
 __all__ = [
     "PVPoint",
     "SeedLattice",
     "LatticeKind",
     "yzu_from_matrices",
-    "y_series",
-    "DegenerateBranch",
-    "y_degenerate_series",
     "pv_residual",
     "zero_pole_seeds",
     "root_check",
@@ -62,11 +59,6 @@ ROOT_SERIES_DEGREE = 12
 class LatticeKind(str, enum.Enum):
     ZERO = "zero"
     POLE = "pole"
-
-
-class DegenerateBranch(str, enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass
@@ -116,44 +108,6 @@ def yzu_from_matrices(s: FlowState) -> PVPoint:
     y = num / den if not pole else complex(math.inf, 0.0)
     u = -a0[0, 1] / u_den if abs(u_den) > _POLE_CUTOFF * scale else complex(math.inf, 0.0)
     return PVPoint(y=complex(y), z=complex(z), u=complex(u), pole=pole)
-
-
-def y_series(p: Parameters, x: complex) -> complex:
-    """Printed leading series: y = c e^x x^sigma (1 + a1 E+ + b1 E-) with
-    a1 = c(-sigma+theta0+thetax)/2, b1 = (sigma+theta0+thetax)/(2c).
-    Relative truncation error O(1/x)."""
-    c = p.c
-    s, t0, tx = p.sigma, p.theta0, p.thetax
-    for excl in (-2.0 * t0 + p.thetainf, 2.0 * tx - p.thetainf):
-        if abs(s - excl) < 1e-9:
-            raise ResonanceError(f"sigma = {s} hits the excluded value {excl}")
-    if not domain_check(p, x):
-        raise PvisoValueError(f"x = {x} outside the admissible strip")
-    a1 = c * (-s + t0 + tx) / 2.0
-    b1 = (s + t0 + tx) / (2.0 * c)
-    xs = cmath.exp(s * cmath.log(x))
-    ep = cmath.exp(x) * xs / x
-    em = 1.0 / (cmath.exp(x) * xs * x)
-    return c * cmath.exp(x) * xs * (1.0 + a1 * ep + b1 * em)
-
-
-def y_degenerate_series(p: Parameters, x: complex, branch: DegenerateBranch) -> complex:
-    """One-parameter branches at the degenerate sigma values; printed
-    leading terms only."""
-    t0, tx, ti = p.theta0, p.thetax, p.thetainf
-    if branch is DegenerateBranch.PLUS:
-        if tx * (t0 - tx - ti) == 0:
-            raise DegenerateParameterError("plus branch needs thetax(theta0-thetax-thetainf) != 0")
-        s0 = -2.0 * tx - ti
-        c = p.c if p.cx != 0 else 0.0
-        lead = 0.5 * (t0 - tx - ti) / x
-        return lead + c * cmath.exp(x) * cmath.exp(s0 * cmath.log(x))
-    if t0 * (t0 - tx + ti) == 0:
-        raise DegenerateParameterError("minus branch needs theta0(theta0-thetax+thetainf) != 0")
-    s0p = 2.0 * t0 + ti
-    cp = p.cprime if p.cx != 0 else 0.0
-    recip = 0.5 * (t0 - tx + ti) / x + cp / (cmath.exp(x) * cmath.exp(s0p * cmath.log(x)))
-    return 1.0 / recip
 
 
 def pv_residual(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pviso.errors import ConsistencyError, OddStepsError, PathError, RadiusError
-from pviso.flow import FlowState, integrate, refine_from_series
+from pviso.flow import FlowState, integrate, refine_from_series, seed_state
 from pviso.linalg import I2, J, det2, exp_J, mat_inv, mat_norm, tr2
 from pviso.monodata import MonodromyData, braid_shift
 from pviso import monodromy as monodromy_module
@@ -198,6 +198,19 @@ def test_monodromy_matches_closed_form_smoke(state40):
     cf = closed_form_monodromy(P1)
     diff = max(mat_norm(md.M0 - cf.M0), mat_norm(md.Mx - cf.Mx))
     assert diff <= 5e-6
+
+
+@pytest.mark.parametrize("branch", ["sigma_deg_plus", "sigma_deg_minus"])
+def test_two_parameter_family_monodromy_matches_closed_form(branch):
+    # the two-parameter families are the generic series at these sigma, so
+    # verify's check holds there as on P1 (2.24e-12 plus, 2.75e-12 minus;
+    # 2.21e-12 on P1)
+    from pviso.closedform import closed_form_monodromy
+
+    p = P1.replace(sigma=getattr(P1, branch))
+    md = monodromy(seed_state(p, 40j).state)
+    cf = closed_form_monodromy(p)
+    assert max(mat_norm(md.M0 - cf.M0), mat_norm(md.Mx - cf.Mx)) <= 1e-11
 
 
 def test_frame_truncation_and_radius_doubling(state40):

@@ -4,18 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import DegenerateParameterError, DomainError, ZeroConstantError
-from pviso.linalg import commutator, det2, mat_norm, tr2
-from pviso.series import (
-    DegenerateKind,
-    Parameters,
-    domain_check,
-    gamma_quad,
-    leading_lambda_matrices,
-    series_A_pair,
-    series_A_pair_degenerate,
-)
+from pviso.errors import DomainError, ZeroConstantError
+from pviso.linalg import commutator, det2, mat_norm
+from pviso.series import Parameters, domain_check, gamma_quad, series_A_pair
 from pviso.series import _basis, _l2_coefficients, _l2_solve, _terms, series_seed
+from pviso.tau import dlog_tau_series
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
@@ -29,8 +22,10 @@ def test_gamma_quad_direct_substitution():
 
 
 def test_gamma_quad_degenerate_sigma_kills_gxm():
-    p = P1.replace(sigma=-2.0 * P1.thetax - P1.thetainf)
-    assert abs(gamma_quad(p).gxm) < 1e-15
+    # the two-parameter families: gxm = 0 at sigma_deg_plus, g0m = 0 at
+    # sigma_deg_minus (4.6e-18 and 1.0e-17 from rounding)
+    assert abs(gamma_quad(P1.replace(sigma=P1.sigma_deg_plus)).gxm) <= 1e-15
+    assert abs(gamma_quad(P1.replace(sigma=P1.sigma_deg_minus)).g0m) <= 1e-15
 
 
 def test_gamma_quad_product_identities():
@@ -56,16 +51,6 @@ def test_gamma_quad_zero_constant_error():
         gamma_quad(P1.replace(c0=0.0))
     with pytest.raises(ZeroConstantError):
         gamma_quad(P1.replace(cx=0.0))
-
-
-def test_leading_lambda_matrices():
-    p = Parameters(theta0=0.2, thetax=0.3, thetainf=0.1, c0=1.0, cx=1.0, sigma=0.3)
-    lam0, lamx = leading_lambda_matrices(p)
-    assert lam0[0, 0] == pytest.approx(0.05)
-    assert lam0[0, 1] == pytest.approx(0.15)
-    # eigenvalues +-theta0/2: trace 0 and determinant -theta0^2/4
-    assert abs(tr2(lam0)) < 1e-14 and abs(det2(lam0) + p.theta0**2 / 4.0) < 1e-14
-    assert abs((lam0 + lamx)[0, 0] + p.thetainf / 2.0) < 1e-15
 
 
 def test_series_leading_value_and_diagonal_relation():
@@ -126,9 +111,12 @@ def _printed_coefficients(p):
 
 def test_derived_coefficients_reproduce_printed():
     # the only check of the derived coefficients independent of criteria 1
-    # and 5: P1 and draws from criterion 4's box
+    # and 5: P1, its two-parameter families (the printed two-parameter
+    # terms are these entries with gxm, resp. g0m, = 0) and draws from
+    # criterion 4's box
     rng = np.random.RandomState(7)
-    params = [P1] + [
+    deg = [P1.replace(sigma=P1.sigma_deg_plus), P1.replace(sigma=P1.sigma_deg_minus)]
+    params = [P1, *deg] + [
         Parameters(
             theta0=rng.uniform(0.06, 0.44),
             thetax=rng.uniform(0.06, 0.44),
@@ -234,56 +222,21 @@ def test_series_schlesinger_residual_scale():
     assert r0 <= 100.0 * abs(x) * defect + 1e-8
 
 
-def test_degenerate_two_param_leading():
-    p = P1.replace(sigma=P1.sigma_deg_plus)
-    ab = series_A_pair_degenerate(p, 300j, DegenerateKind.TWO_PARAM)
-    lead = -(p.thetax + p.thetainf) / 2.0
-    assert abs(ab.A0[0, 0] - lead) < 5e-3
-    assert abs(ab.Ax[0, 0] + ab.A0[0, 0] + p.thetainf / 2.0) < 1e-15
-
-
-def test_degenerate_one_param_leading():
-    p = P1
-    ab = series_A_pair_degenerate(p, 300j, DegenerateKind.ONE_PARAM)
-    x_tx = cmath.exp(p.thetax * cmath.log(300j))
-    target = (p.theta0 + p.thetax + p.thetainf) / (2.0 * p.c0)
-    assert abs(ab.A0[1, 0] * x_tx - target) <= 1e-2 * abs(target)
-
-
-def test_degenerate_one_param_zero_coefficient():
-    p = P1.replace(theta0=-(P1.thetax + P1.thetainf))
-    ab = series_A_pair_degenerate(p, 300j, DegenerateKind.ONE_PARAM)
-    assert abs(ab.A0[1, 0]) < 1e-15
-    assert abs(ab.Ax[1, 0]) < 1e-15
-
-
-def test_degenerate_thetax_zero_rejected():
-    p = P1.replace(thetax=0.0)
-    with pytest.raises(DegenerateParameterError):
-        series_A_pair_degenerate(p, 300j, DegenerateKind.TWO_PARAM)
-
-
-def test_degenerate_two_param_matches_generic_series():
-    # at sigma = sigma_deg_plus the generic series is finite and solves the
-    # system, so the printed two-parameter terms must approach it: their
-    # gap falls like the first dropped order, 1/x (factors 2.1-2.5 measured)
-    p = P1.replace(sigma=P1.sigma_deg_plus)
-    gaps = []
-    for r in (100.0, 200.0, 400.0, 800.0):
-        generic = series_A_pair(p, 1j * r)
-        two = series_A_pair_degenerate(p, 1j * r, DegenerateKind.TWO_PARAM)
-        gaps.append((mat_norm(generic.A0 - two.A0), mat_norm(generic.Ax - two.Ax)))
-    for (a0, ax), (b0, bx) in zip(gaps, gaps[1:]):
-        assert b0 <= a0 / 2.0 and bx <= ax / 2.0
-
-
 def test_cx_to_zero_limit_matches_one_param():
+    # as cx -> 0 at sigma_deg_plus the generic series tends to the
+    # one-parameter family, whose printed leading A0 is written out here
     p = P1.replace(sigma=P1.sigma_deg_plus, cx=1e-10)
-    generic = series_A_pair(p, 400j)
-    one = series_A_pair_degenerate(p.replace(cx=0.0), 400j, DegenerateKind.ONE_PARAM)
-    assert abs(generic.A0[0, 0] - one.A0[0, 0]) < 1e-4
+    t0, tx, ti, x = p.theta0, p.thetax, p.thetainf, 400j
+    x_tx = cmath.exp(tx * cmath.log(x))
+    one = {
+        (0, 0): -(tx + ti) / 2.0 + tx * (t0 * t0 - (tx + ti) ** 2) / (4.0 * x * x),
+        (0, 1): p.c0 * (t0 - tx - ti) / 2.0 * x_tx,
+        (1, 0): (t0 + tx + ti) / (2.0 * p.c0) / x_tx,
+    }
+    generic = series_A_pair(p, x)
+    assert abs(generic.A0[0, 0] - one[0, 0]) < 1e-4
     for i, j in ((0, 1), (1, 0)):
-        assert abs(generic.A0[i, j] - one.A0[i, j]) <= 1e-2 * max(1.0, abs(one.A0[i, j]))
+        assert abs(generic.A0[i, j] - one[i, j]) <= 1e-2 * max(1.0, abs(one[i, j]))
 
 
 def test_domain_check_examples():
@@ -311,10 +264,7 @@ def test_series_domain_gate_agrees_with_domain_check():
 
 
 def test_series_outside_domain_raises():
-    with pytest.raises(DomainError):
-        series_A_pair(P1, 5j)
-    # the degenerate series checks no strip, but has no log at x = 0
-    for kind in DegenerateKind:
+    for evaluate in (series_A_pair, lambda p, x: series_seed(p, x, 5), dlog_tau_series):
         with pytest.raises(DomainError):
-            series_A_pair_degenerate(P1, 0j, kind)
+            evaluate(P1, 5j)
 

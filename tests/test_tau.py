@@ -49,15 +49,6 @@ def test_series_forced_zeros():
     assert abs(v1) < 1e-8 and abs(v2) < 1e-8
 
 
-def test_series_no_exp_term_on_degenerate_branch():
-    p = P1.replace(sigma=P1.sigma_deg_plus)
-    # gxm = 0 kills the e^-x term; the e^x term coefficient g0m * gxp stays
-    from pviso.series import gamma_quad
-
-    g = gamma_quad(p)
-    assert abs(g.gxm) < 1e-15
-
-
 def test_flow_vs_series(state40):
     st = integrate(state40, 100j, 1e-12)
     assert abs(dlog_tau(st) - dlog_tau_series(P1, 100j)) <= 1e-3

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pviso.errors import ConvergenceError, DegenerateParameterError, PvisoValueError, ResonanceError
+from pviso.errors import ConvergenceError, PvisoValueError, ResonanceError
 from pviso.flow import (
     SEED_DEGREE,
     FlowState,
@@ -18,7 +18,6 @@ from pviso.linalg import mat_norm
 from pviso.series import Parameters, series_seed, smallness_score
 from pviso.transcendents import (
     ROOT_STEP,
-    DegenerateBranch,
     _newton,
     LatticeKind,
     root_check,
@@ -26,8 +25,6 @@ from pviso.transcendents import (
     pv_residual,
     refine_lattice,
     refine_root,
-    y_degenerate_series,
-    y_series,
     yzu_from_matrices,
     zero_pole_seeds,
 )
@@ -81,28 +78,6 @@ def test_pole_sample_flagged():
     assert pt.pole
 
 
-def test_y_series_coefficients():
-    p = P1.replace(theta0=0.2, thetax=0.3, sigma=0.1, c0=1.0, cx=2.0)
-    # a1 = c(-sigma+theta0+thetax)/2 = 2*0.4/2 = 0.4; b1 = (0.6)/(2*2) = 0.15
-    a1 = p.c * (-p.sigma + p.theta0 + p.thetax) / 2.0
-    b1 = (p.sigma + p.theta0 + p.thetax) / (2.0 * p.c)
-    assert a1 == pytest.approx(0.4)
-    assert b1 == pytest.approx(0.15)
-    x = 300j
-    xs = cmath.exp(p.sigma * cmath.log(x))
-    base = p.c * cmath.exp(x) * xs
-    r = y_series(p, x) / base - 1.0
-    ep = cmath.exp(x) * xs / x
-    em = 1.0 / (cmath.exp(x) * xs * x)
-    assert abs(r - a1 * ep - b1 * em) < 1e-15
-
-
-def test_y_series_resonance_guard():
-    p = P1.replace(sigma=-2.0 * P1.theta0 + P1.thetainf)
-    with pytest.raises(Exception):
-        y_series(p, 200j)
-
-
 def test_y_leading_ratio_tends_to_one(state40):
     state = state40
     prev = None
@@ -117,38 +92,42 @@ def test_y_leading_ratio_tends_to_one(state40):
     assert prev < 0.02
 
 
+def _series_y(p, x):
+    """y from the degree-12 series pair at x."""
+    A0, Ax, _ = series_seed(p, x, 12)
+    return yzu_from_matrices(FlowState(x=x, A0=A0, Ax=Ax, params=p)).y
+
+
 def test_y_flow_vs_series(state40):
-    state80 = integrate(state40, 80j, 1e-12)
-    ym = yzu_from_matrices(state80).y
-    ys = y_series(P1, 80j)
-    assert abs(ys - ym) / abs(ym) <= 1e-3
+    # 7.0e-11; the printed leading series y = c e^x x^sigma (1 + a1 E+ + b1 E-)
+    # read 2.4e-4 here
+    ym = yzu_from_matrices(integrate(state40, 80j, 1e-12)).y
+    assert abs(_series_y(P1, 80j) - ym) / abs(ym) <= 1e-9
+
+
+def _closes_like_x_squared(gaps):
+    """The first gap is below 1e-5, and each doubling of x cuts it at
+    least 3.5-fold (4 for a 1/x^2 remainder)."""
+    return gaps[0] <= 1e-5 and all(b <= a / 3.5 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_y_degenerate_plus_asymptotic():
-    p = PZ.replace(sigma=PZ.sigma_deg_plus, cx=0.0)
-    x = 100j
-    y = y_degenerate_series(p, x, DegenerateBranch.PLUS)
-    assert abs(y - 0.5 * (p.theta0 - p.thetax - p.thetainf) / x) < 1e-12
-
-
-def test_y_degenerate_plus_direct_value():
-    # theta0 - thetax - thetainf = 2, c = 0, x = 100i -> y ~ 1/(100 i)
-    p = Parameters(theta0=2.25, thetax=0.15, thetainf=0.1, c0=1.0, cx=0.0, sigma=0.0)
-    y = y_degenerate_series(p.replace(sigma=p.sigma_deg_plus), 100j, DegenerateBranch.PLUS)
-    assert abs(y - (-0.01j)) < 1e-12
+    # the one-parameter family at sigma_deg_plus is y ~ (theta0 - thetax -
+    # thetainf)/(2x), the limit cx -> 0 of the generic series (1.7e-6 off
+    # at 100i, factors 4.0 per doubling)
+    p = P1.replace(sigma=P1.sigma_deg_plus, cx=1e-10)
+    lead = (p.theta0 - p.thetax - p.thetainf) / 2.0
+    gaps = [abs(_series_y(p, x) - lead / x) for x in (100j, 200j, 400j)]
+    assert _closes_like_x_squared(gaps), gaps
 
 
 def test_y_degenerate_minus_reciprocal():
-    p = PZ.replace(sigma=PZ.sigma_deg_minus, cx=0.0)
-    x = 100j
-    y = y_degenerate_series(p, x, DegenerateBranch.MINUS)
-    assert abs(y - 2.0 * x / (p.theta0 - p.thetax + p.thetainf)) < 1e-6 * abs(x)
-
-
-def test_y_degenerate_guards():
-    p = PZ.replace(thetax=0.0)
-    with pytest.raises(DegenerateParameterError):
-        y_degenerate_series(p, 100j, DegenerateBranch.PLUS)
+    # at sigma_deg_minus, 1/y ~ (theta0 - thetax + thetainf)/(2x) as
+    # c0 -> 0 (9.4e-7 off at 200i, where the strip has begun)
+    p = P1.replace(sigma=P1.sigma_deg_minus, c0=1e-10)
+    lead = (p.theta0 - p.thetax + p.thetainf) / 2.0
+    gaps = [abs(1.0 / _series_y(p, x) - lead / x) for x in (200j, 400j, 800j)]
+    assert _closes_like_x_squared(gaps), gaps
 
 
 def test_pv_residual(state40):
