@@ -1,7 +1,7 @@
 """Adaptive embedded Runge-Kutta transport kernel for complex vector fields.
 
-Its only caller is ``monodromy``, which steps the linear system around
-its contours with it; the flow of (A0, Ax) has its own Taylor kernel in
+Its only caller is ``monodromy``, which steps the chords of each loop
+as one batch with it; the flow of (A0, Ax) has its own Taylor kernel in
 ``flow``.
 
 The method is DOP853, the explicit 8th-order pair of Dormand and Prince
@@ -18,25 +18,21 @@ the step's error is h err5^2 / sqrt((err5^2 + 0.01 err3^2) n) and the
 step is accepted when it is at most 1.  The next step is
 h * clamp(0.9 err^(-1/8), 0.2, 10), never longer than ``MAX_STEP``.
 
-The state is held as a short list of Python complex numbers and every
-stage sum is written out as scalar arithmetic with the couplings
-multiplied by h once per step, so a step costs a few list
-comprehensions rather than dozens of small numpy calls.  The vector
-field ``f(t, y)`` receives that list and returns a sequence of the same
-length.  The independent variable is a real path parameter (arc length
-along the segments used by the callers).  Deterministic: no randomness,
-fixed evaluation order.
-
-Batches: each state component may instead be an equal-length 1-D
-complex array (``y0`` an (n, B) array or a sequence of n such arrays).
-That is B independent systems stepped in lockstep with one shared h:
-the same stage sums run on arrays, ``f`` receives and returns n arrays
-of length B, and each member gets its own error norm as above.  A step
-is accepted only when the largest member norm is at most 1, and the
-controller steers on that largest norm, so every member meets at least
-the tolerance it would meet alone, at the price of the steps of the
-hardest one.  Only the scale and that reduction depend on the state
-type; the scalar path is unchanged.
+The state is a list of n components, each a 1-D complex array of
+length B: B independent systems stepped in lockstep with one shared h
+(``y0`` an (n, B) array or a sequence of n such arrays).  Every stage
+sum is written out over the components, with the couplings multiplied
+by h once per step, so a step costs a few list comprehensions over
+array arithmetic rather than dozens of small numpy calls.  The vector
+field ``f(t, y)`` receives that list and returns a sequence of n
+arrays of length B.  Each member gets its own error norm as above; a
+step is accepted only when the largest member norm is at most 1, and
+the controller steers on that largest norm, so every member meets at
+least the tolerance it would meet alone, at the price of the steps of
+the hardest one.  A 1-D ``y0`` is one system, stepped the same way
+with n numpy scalars as its components.  The independent variable is
+a real path parameter.  Deterministic: no randomness, fixed evaluation
+order.
 
 The entry point keeps the name ``integrate_rk54`` from the 5(4) pair it
 replaced: the benchmark's tracer wraps the kernel under that name to
@@ -168,7 +164,7 @@ BHH = (
 
 def _largest_member_norm(h: float, acc5: np.ndarray, denom: np.ndarray, n: int) -> float:
     """Largest of the batch members' combined norms; a member whose
-    error estimates are both zero counts 0, as in the scalar path."""
+    error estimates are both zero counts 0."""
     live = denom > 0.0
     if not live.any():
         return 0.0
@@ -186,19 +182,16 @@ def integrate_rk54(
     local error per step controlled at ``tol`` (mixed absolute/relative
     scale, Hairer's combined 5th/3rd-order norm).
 
-    Returns the state at t1 as an (n,) complex array, or (n, B) for a
-    batch of B members.
+    Returns the state at t1 as an (n, B) complex array for a batch of B
+    members, or (n,) for a 1-D ``y0``.
     """
     span = t1 - t0
     if span < 0:
         raise ValueError("integrate_rk54 expects t1 >= t0")
-    y = np.asarray(y0, dtype=complex)
-    batch = y.ndim == 2
-    y = list(y) if batch else y.ravel().tolist()
+    y = list(np.asarray(y0, dtype=complex))
     if span == 0.0:
         return np.array(y, dtype=complex)
     n = len(y)
-    larger = np.maximum if batch else max
     t = t0
     h = min(MAX_STEP, span, 0.1)
     h_floor = 1e-13 * max(1.0, span)
@@ -289,18 +282,14 @@ def integrate_rk54(
             inc = b1 * p + b6 * v + b7 * w + b8 * z + b9 * g + b10 * m + b11 * q + b12 * r
             x_ = y_ + h * inc
             y_new.append(x_)
-            sc = tol + tol * larger(abs(y_), abs(x_))
+            sc = tol + tol * np.maximum(abs(y_), abs(x_))
             err5 = abs(
                 e1 * p + e6 * v + e7 * w + e8 * z + e9 * g + e10 * m + e11 * q + e12 * r
             ) / sc
             err3 = abs(inc - bh1 * p - bh9 * g - bh12 * r) / sc
             acc5 += err5 * err5
             acc3 += err3 * err3
-        denom = acc5 + 0.01 * acc3
-        if batch:
-            err = _largest_member_norm(h, acc5, denom, n)
-        else:
-            err = h * acc5 / (denom * n) ** 0.5 if denom > 0.0 else 0.0
+        err = _largest_member_norm(h, acc5, acc5 + 0.01 * acc3, n)
         if err <= 1.0:
             t += h
             y = y_new

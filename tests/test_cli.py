@@ -227,6 +227,19 @@ def test_exit_code_table(tmp_path, capsys, deadline):
         assert [row["scaled_error"] is None for row in table] == [True, False]
 
 
+def test_thin_off_axis_exit_codes(tmp_path, capsys):
+    # two off-axis points that fail by a thin margin, both exit 3: at x = 30
+    # the flow's det_A0 drift exceeds its budget (2.06e-10 > 1.34e-10); at
+    # x = -30+30i the first chord of the line from iR already has a
+    # transfer of norm 2.5e5, past the cap, and the message names it
+    cfg = _write(tmp_path, P1_CFG)
+    assert main(["--config", cfg, "monodromy", "--x", "30"]) == 3
+    assert "det_A0" in capsys.readouterr().err
+    assert main(["--config", cfg, "verify", "--x=-30+30i"]) == 3
+    err = capsys.readouterr().err
+    assert "transfer norm" in err and "after chord 0 of the line from" in err, err
+
+
 P1_FLAGS = [
     "--theta0", "0.21", "--thetax", "0.16", "--thetainf", "0.11",
     "--cx", "0.7+0.2i", "--sigma", "0.24+0.05i",

@@ -10,17 +10,18 @@ from pviso.linalg import I2, J, det2, exp_J, mat_inv, mat_norm, tr2
 from pviso.monodata import MonodromyData, braid_shift
 from pviso import monodromy as monodromy_module
 from pviso.monodromy import (
-    Arc,
-    Line,
+    SUB_SEGMENT,
     frame_coefficients,
     monodromy,
     normalized_frame,
+    _chord_transfers,
+    _line,
     _linear_field,
     _loop_transfer,
-    _transfer,
+    _polygon,
 )
 from pviso.ode import integrate_rk54
-from pviso.series import Parameters
+from pviso.series import Parameters, series_seed
 
 P1 = Parameters(
     theta0=0.21, thetax=0.16, thetainf=0.11, c0=1.0, cx=0.7 + 0.2j, sigma=0.24 + 0.05j
@@ -75,36 +76,41 @@ def test_normalized_frame_residual_decays(state40):
     assert r2 <= r1 / 3.0
 
 
+def _chords(*polylines):
+    """Start and end points of the chords of the given vertex arrays."""
+    return (
+        np.concatenate([v[:-1] for v in polylines]),
+        np.concatenate([v[1:] for v in polylines]),
+    )
+
+
+def _left_half_circle(radius):
+    """Polyline from i radius through -radius to -i radius, in chords of
+    about SUB_SEGMENT."""
+    n = math.ceil(math.pi * radius / SUB_SEGMENT)
+    return 1j * radius * np.exp(1j * np.linspace(0.0, math.pi, n + 1))
+
+
 def test_linear_field_matches_matrix_formula(state40):
-    # the scalar interaction-picture field the transfers step, against
+    # the batched interaction-picture field the transfers step, against
     # e^(-lambda J/2) (A0/lambda + Ax/(lambda - x)) e^(lambda J/2) @ Z
-    # times the piece velocity
+    # times the chord, member by member: chords down the axis, off-axis
+    # ones around x and across it, and ones along the deep left arc
     rng = np.random.default_rng(1)
     Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    half = math.pi / 2.0
-    pieces = (
-        Line(200j, 41j),
-        Arc(40j, 1.0, half, half + 2.0 * math.pi),
-        Arc(0.0, 200.0, 3.0 * half, half),
+    starts, ends = _chords(
+        _line(200j, 41j),
+        _polygon(40j, 41j),
+        np.array([45j + 2.0, 41j - 1.0]),
+        _left_half_circle(200.0)[::20],
     )
-    for piece in pieces:
-        f = _linear_field(state40, piece)
-        for t in (0.0, 0.3 * piece.length, piece.length):
-            lam, v = piece.locate(t)
-            B = state40.A0 / lam + state40.Ax / (lam - state40.x)
-            C = exp_J(-lam / 2.0) @ B @ exp_J(lam / 2.0)
-            ref = ((C @ Z) * v).ravel()
-            got = np.array(f(t, Z.ravel().tolist()))
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-    # the batched field of a line's sub-segments, one member per start
-    line = pieces[0]
-    starts = line.start + line.direction * np.array([0.0, 2.0, 57.5, 157.0])
-    f = _linear_field(state40, line, starts)
-    for t in (0.0, 0.7, 2.0):
+    chords = ends - starts
+    f = _linear_field(state40, starts, chords)
+    for t in (0.0, 0.3, 1.0):
         got = np.array(f(t, [np.full(starts.size, zij) for zij in Z.ravel()]))
         assert got.shape == (4, starts.size)
-        for b, start in enumerate(starts):
-            lam, v = start + t * line.direction, line.direction
+        for b, (start, v) in enumerate(zip(starts, chords)):
+            lam = start + t * v
             B = state40.A0 / lam + state40.Ax / (lam - state40.x)
             C = exp_J(-lam / 2.0) @ B @ exp_J(lam / 2.0)
             ref = ((C @ Z) * v).ravel()
@@ -113,36 +119,41 @@ def test_linear_field_matches_matrix_formula(state40):
 
 def test_interaction_picture_transfer_matches_plain_field(state40):
     # reference: the plain field (A0/lambda + Ax/(lambda - x) + J/2) Y
-    # stepped by the same kernel at a tighter tolerance
-    def plain_transfer(piece, tol):
-        def f(t, y):
-            lam, v = piece.locate(t)
-            C = state40.A0 / lam + state40.Ax / (lam - state40.x) + 0.5 * J
-            return ((C @ np.reshape(y, (2, 2))) * v).ravel()
-
-        tol_local = tol * min(1.0, 10.0 / max(piece.length, 1.0))
-        return integrate_rk54(f, 0.0, piece.length, np.ravel(I2), tol_local).reshape(2, 2)
-
-    half = math.pi / 2.0
-    pieces = (
-        Line(200j, 41j),
-        Line(45j + 2.0, 41j - 1.0),
-        Arc(40j, 1.0, half, half + 2.0 * math.pi),
-        Arc(0.0, 1.0, -half, 3.0 * half),
+    # along the same chords, stepped by the same kernel at tol 1e-14
+    starts, ends = _chords(
+        _line(200j, 41j),
+        np.array([45j + 2.0, 43j + 1.0, 41j - 1.0]),
+        _polygon(40j, 41j),
+        _polygon(0.0, -1j),
     )
-    for piece in pieces:
-        got = _transfer(state40, piece, 1e-12)
-        ref = plain_transfer(piece, 1e-14)
-        assert mat_norm(got - ref) <= 1e-11
+    chords = ends - starts
+
+    def plain(t, y):
+        lam = starts + t * chords
+        C = (
+            np.multiply.outer(chords / lam, state40.A0)
+            + np.multiply.outer(chords / (lam - state40.x), state40.Ax)
+            + np.multiply.outer(chords, 0.5 * J)
+        )
+        Y = np.moveaxis(np.reshape(y, (2, 2, -1)), -1, 0)
+        return np.moveaxis(C @ Y, 0, -1).reshape(4, -1)
+
+    y0 = np.repeat(np.ravel(I2)[:, None], starts.size, axis=1)
+    ref = np.moveaxis(integrate_rk54(plain, 0.0, 1.0, y0, 1e-14).reshape(2, 2, -1), -1, 0)
+    got = _chord_transfers(state40, starts, ends, 1e-12)
+    assert got.shape == ref.shape == (starts.size, 2, 2)
+    assert np.max(np.abs(got - ref)) <= 1e-11
 
 
 def test_zero_length_line_is_identity(state40):
-    assert np.array_equal(_transfer(state40, Line(50j, 50j), 1e-12), I2)
+    line = _line(50j, 50j)
+    assert line.size == 2
+    assert np.array_equal(_chord_transfers(state40, line[:-1], line[1:], 1e-12), [I2])
 
 
 def test_monodromy_feval_budget(state40, monkeypatch):
-    # one pass: each loop integrates its descent and its circle, four
-    # pieces; each line's sub-segments are one batch, so a field call
+    # one pass: two loops, one batch each; a batch holds every chord of
+    # the loop's line and of its circle's 24-gon, so a field call
     # evaluates many members
     calls = {"transfers": 0, "nfev": 0, "members": 0}
 
@@ -158,16 +169,32 @@ def test_monodromy_feval_budget(state40, monkeypatch):
 
     monkeypatch.setattr(monodromy_module, "integrate_rk54", counting)
     monodromy(state40, 1e-12, R=200.0)
-    assert calls["transfers"] == 4
-    assert calls["nfev"] <= 1_500
-    assert calls["members"] <= 40_000
+    assert calls["transfers"] == 2
+    assert calls["nfev"] <= 450
+    assert calls["members"] <= 50_000
 
 
 def test_transfer_rejects_deep_arc(state40):
-    # the left arc from 200i to -200i reaches Re lambda = -200, where the
-    # transfer grows to ~1e71 and the determinant check could pass anything
-    with pytest.raises(ConsistencyError):
-        _transfer(state40, Arc(0.0, 200.0, math.pi / 2.0, 1.5 * math.pi), 1e-12)
+    # a line along the left half-circle from 200i to -200i (then the
+    # unit circle about -199i) reaches Re lambda = -200, where the
+    # transfer grows to ~1e71 and the determinant check could pass
+    # anything; the norm cap stops it
+    with pytest.raises(ConsistencyError, match="transfer norm .* of the line"):
+        _loop_transfer(state40, _left_half_circle(200.0), -199j, 1e-12)
+
+
+def test_monodromy_degree_20_series_oracle():
+    # the degree-20 series at 40i (truncation 3.9e-17) carries no seed or
+    # flow error, so the distance of its monodromy from the closed form is
+    # the loop transport's own error, which criterion 1's seed error hides
+    from pviso.closedform import closed_form_monodromy
+
+    A0, Ax, truncation = series_seed(P1, 40j, 20)
+    assert truncation <= 1e-16
+    md = monodromy(FlowState(x=40j, A0=A0, Ax=Ax, params=P1), R=200.0)
+    cf = closed_form_monodromy(P1)
+    assert max(mat_norm(md.M0 - cf.M0), mat_norm(md.Mx - cf.Mx)) <= 3e-13
+    assert md.diagnostics["consistency_defect"] <= 3e-14
 
 
 def test_monodromy_zero_state_is_identity():
@@ -232,18 +259,18 @@ def test_frame_truncation_and_radius_doubling(state40):
 
 
 def test_homotopy_invariance_of_pieces(state40):
-    # replacing the unit circle by radius 1.4 and entering one unit higher
-    # must not change Mx beyond the transport tolerance scale
+    # replacing the unit 24-gon by one of radius 1.4 and entering it 0.4
+    # higher must not change Mx beyond the transport tolerance scale
     tol = 1e-10
     R = 200.0
     frame = normalized_frame(state40, R, frame_coefficients(state40, 6))
-    half = math.pi / 2.0
 
-    def conjugated(descent, circle):
-        return mat_inv(frame) @ _loop_transfer(state40, descent, circle, tol) @ frame
+    def conjugated(entry):
+        loop = _loop_transfer(state40, _line(1j * R, entry), 40j, tol)
+        return mat_inv(frame) @ loop @ frame
 
-    a = conjugated(Line(1j * R, 40j + 1j), Arc(40j, 1.0, half, half + 2 * math.pi))
-    b = conjugated(Line(1j * R, 40j + 1.4j), Arc(40j, 1.4, half, half + 2 * math.pi))
+    a = conjugated(40j + 1j)
+    b = conjugated(40j + 1.4j)
     assert mat_norm(a - b) <= 10.0 * tol * 100.0
 
 
