@@ -9,7 +9,8 @@ Taylor series, whose coefficients a Cauchy-product recurrence gives
 exactly (``_taylor_step``).  A series seed on the imaginary
 axis is carried to moderate |x| where monodromy is computed;
 ``seed_state`` picks the seed's radius from its truncation and is the
-seeding rule of every default path.
+seeding rule of every default path.  ``ray_derivatives`` is the one
+centred-difference stencil, on states walked along a ray.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 from .linalg import det2, mat, mat_norm, tr2
 from .series import EPS, Parameters, axis_radii, series_seed
 
-__all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_stencil",
+__all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_derivatives",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
 
 _SEED_CHECK_TOL = 1e-12
@@ -96,32 +97,22 @@ class Seed(NamedTuple):
     seed_truncation: float  # largest entry of the last degree's terms
 
 
-def _flow_field(x0: complex, u: complex):
-    """The flow's vector field along x = x0 + t u, as scalar arithmetic.
-
-    With y = (A0 | Ax) row by row and P = [Ax, A0]/x (P_11 = -P_00 since
-    a commutator is traceless), dA0/dt = u P and
-    dAx/dt = u (-P + [J, Ax]/2), where [J, Ax]/2 has off-diagonal
-    (Ax_01, -Ax_10).
-    """
-
-    def f(t, y):
-        a, b, c, d, e, g, k, m = y
-        w = u / (x0 + t * u)
-        p00 = (g * c - b * k) * w
-        p01 = (b * (e - m) - g * (a - d)) * w
-        p10 = (k * (a - d) - c * (e - m)) * w
-        return (p00, p01, p10, -p00, -p00, u * g - p01, -u * k - p10, p00)
-
-    return f
-
-
 def rhs(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
-    """(dA0/dx, dAx/dx) at the state's point."""
+    """(dA0/dx, dAx/dx) at the state's point.
+
+    With P = [Ax, A0]/x (P_11 = -P_00 since a commutator is traceless),
+    dA0/dx = P and dAx/dx = -P + [J, Ax]/2, where [J, Ax]/2 has
+    off-diagonal (Ax_01, -Ax_10).
+    """
     if s.x == 0:
         raise OriginError("the vector field is singular at x = 0")
-    dy = _flow_field(s.x, 1.0)(0.0, [*s.A0.ravel().tolist(), *s.Ax.ravel().tolist()])
-    return mat(*dy[:4]), mat(*dy[4:])
+    (a, b), (c, d) = s.A0.tolist()
+    (e, g), (k, m) = s.Ax.tolist()
+    w = 1.0 / s.x
+    p00 = (g * c - b * k) * w
+    p01 = (b * (e - m) - g * (a - d)) * w
+    p10 = (k * (a - d) - c * (e - m)) * w
+    return mat(p00, p01, p10, -p00), mat(-p00, g - p01, -k - p10, p00)
 
 
 def _segment_distance(a: complex, b: complex) -> float:
@@ -271,12 +262,22 @@ def walk(s: FlowState, points: Iterable[complex], tol: float) -> Iterator[FlowSt
         yield s
 
 
-def ray_stencil(s: FlowState, x: complex, h: float, half_width: int, tol: float):
-    """States at x + k h x/|x| for |k| <= half_width, walked from ``s``,
-    and the step h x/|x|."""
+def ray_derivatives(s: FlowState, x: complex, h: float, value, order: int, tol: float) -> list:
+    """``value`` at x and its first ``order`` (2 or 3) derivatives, from
+    centred differences, second order in d = h x/|x|, of its values at the
+    states x + k d, |k| <= order - 1, walked from ``s``:
+    d1 = (v_1 - v_-1)/2d, d2 = (v_1 - 2 v_0 + v_-1)/d^2 and
+    d3 = (v_2 - 2 v_1 + 2 v_-1 - v_-2)/2d^3."""
+    if order not in (2, 3):
+        raise PvisoValueError(f"centred derivatives are of order 2 or 3, not {order}")
     unit = x / abs(x)
-    points = [x + k * h * unit for k in range(-half_width, half_width + 1)]
-    return list(walk(s, points, tol)), h * unit
+    step = h * unit
+    v = [value(st) for st in walk(s, [x + k * h * unit for k in range(1 - order, order)], tol)]
+    vm1, v0, vp1 = v[order - 2:order + 1]
+    out = [v0, (vp1 - vm1) / (2.0 * step), (vp1 - 2.0 * v0 + vm1) / (step * step)]
+    if order == 3:
+        out.append((v[4] - 2.0 * vp1 + 2.0 * vm1 - v[0]) / (2.0 * step**3))
+    return out
 
 
 def refine_from_series(

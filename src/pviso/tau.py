@@ -1,28 +1,20 @@
 """Tau-function log-derivative from matrix data, its truncated expansion,
 and the fourth-order bilinear residual.
 
-tau itself is never materialized (it is defined up to a constant); all
-checks run on H = (log tau)' and its finite-difference derivatives,
-using the homogeneity of the bilinear form to divide out tau^2.
+tau itself is never materialized (it is defined up to a constant); the
+bilinear form is homogeneous, so it is divided by tau^2 and checked on
+H = (log tau)' and its centred derivatives (``flow.ray_derivatives``).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, PvisoValueError
-from .flow import FlowState, ray_stencil
+from .flow import FlowState, ray_derivatives
 from .series import Parameters, _in_strip, gamma_quad
 
-__all__ = ["TauSample", "dlog_tau", "dlog_tau_series", "tau_sample", "bilinear_residual"]
-
-
-@dataclass
-class TauSample:
-    x: complex
-    dlogtau: complex
-    higher_derivs: list[complex] | None = None  # d^k/dx^k log tau, k = 2..4
+__all__ = ["dlog_tau", "dlog_tau_series", "bilinear_residual"]
 
 
 def dlog_tau(s: FlowState) -> complex:
@@ -79,26 +71,6 @@ def dlog_tau_series(p: Parameters, x: complex) -> complex:
     )
 
 
-def tau_sample(
-    p: Parameters,
-    x: complex,
-    h: float = 1e-2,
-    *,
-    state: FlowState,
-    tol: float = 1e-12,
-) -> TauSample:
-    """Sample (log tau)' at x together with finite-difference estimates
-    of the second through fourth log-derivatives.  The stencil starts
-    from ``state``, a state near x."""
-    x = complex(x)
-    states, step = ray_stencil(state, x, h, 2, tol)
-    hm2, hm1, h0, hp1, hp2 = map(dlog_tau, states)
-    d1 = (hp1 - hm1) / (2.0 * step)
-    d2 = (hp1 - 2.0 * h0 + hm1) / (step * step)
-    d3 = (hp2 - 2.0 * hp1 + 2.0 * hm1 - hm2) / (2.0 * step**3)
-    return TauSample(x=x, dlogtau=h0, higher_derivs=[d1, d2, d3])
-
-
 def bilinear_residual(
     p: Parameters,
     x: complex,
@@ -117,17 +89,15 @@ def bilinear_residual(
         + 2 x r2 + (thetainf x - theta0^2 - thetax^2) r1
         - thetax^2 thetainf / 2.
 
-    H and its derivatives come from ``tau_sample``: second-order
-    centered differences on a 5-point stencil along the ray, from
-    ``state``, a state near x.
+    H at x and its derivatives d1, d2, d3 come from
+    ``flow.ray_derivatives``: second-order centred differences on a
+    5-point stencil along the ray, walked from ``state``, a state near x.
     """
     x = complex(x)
-    sample = tau_sample(p, x, h, state=state, tol=tol)
-    r1 = h0 = sample.dlogtau
-    d1, d2, d3 = sample.higher_derivs
-    r2 = d1 + h0 * h0
-    r3 = d2 + 3.0 * h0 * d1 + h0**3
-    r4 = d3 + 4.0 * h0 * d2 + 3.0 * d1 * d1 + 6.0 * h0 * h0 * d1 + h0**4
+    r1, d1, d2, d3 = ray_derivatives(state, x, h, dlog_tau, 3, tol)
+    r2 = d1 + r1 * r1
+    r3 = d2 + 3.0 * r1 * d1 + r1**3
+    r4 = d3 + 4.0 * r1 * d2 + 3.0 * d1 * d1 + 6.0 * r1 * r1 * d1 + r1**4
     t0, tx, ti = p.theta0, p.thetax, p.thetainf
     return (
         x**3 * (r4 - 4.0 * r1 * r3 + 3.0 * r2 * r2)

@@ -11,7 +11,7 @@ poles of y itself (the pair is holomorphic there; only the quotient
 degenerates).  So a root is refined by Newton on the pair: on the
 degree-12 series pair wherever its measured truncation allows
 (``series_root``), and on flow-transported states elsewhere
-(``refine_root``).
+(``refine_root``).  ``pv_residual`` differences y by ``flow.ray_derivatives``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     ResonanceError,
     StencilError,
 )
-from .flow import FlowState, Seed, _drift_budget, integrate, ray_stencil, rhs, seed_at
+from .flow import FlowState, Seed, _drift_budget, integrate, ray_derivatives, rhs, seed_at
 from .series import Parameters, _sector_seed, smallness_score
 
 __all__ = [
@@ -119,17 +119,20 @@ def pv_residual(
     tol: float = 1e-12,
 ) -> float:
     """Absolute residual of the second-order Painleve V equation at x,
-    with y', y'' from centered differences of the flow-transported y.
-    The stencil starts from ``state``, a state near x.
+    with y', y'' from ``flow.ray_derivatives`` on 3 points about x, walked
+    from ``state``, a state near x.  A sample at or near a pole of y, or
+    y at x within 1e-10 of 0 or 1, raises StencilError.
     """
     x = complex(x)
-    states, step = ray_stencil(state, x, h, 1, tol)
-    ym1, y0, yp1 = ys = [yzu_from_matrices(st).y for st in states]
-    if not all(abs(y) < 1e12 for y in ys):  # a flagged pole reads inf
-        raise StencilError(f"the stencil about {x} is at or near a pole of y")
-    # second-order stencils: the documented tolerance model is h^2 * y''''
-    d1 = (yp1 - ym1) / (2.0 * step)
-    d2 = (yp1 - 2.0 * y0 + ym1) / (step * step)
+
+    def y_at(st: FlowState) -> complex:
+        y = yzu_from_matrices(st).y
+        if not abs(y) < 1e12:  # a flagged pole reads inf
+            raise StencilError(f"the stencil about {x} is at or near a pole of y")
+        return y
+
+    # the documented tolerance model is h^2 * y''''
+    y0, d1, d2 = ray_derivatives(state, x, h, y_at, 2, tol)
     if abs(y0) < 1e-10 or abs(y0 - 1.0) < 1e-10:
         raise StencilError("y at the stencil center is too close to 0 or 1")
     t0, tx, ti = p.theta0, p.thetax, p.thetainf

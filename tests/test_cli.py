@@ -167,9 +167,10 @@ def test_evaluate_and_determinism(tmp_path):
         "--x-points",
         "40j;41j",
     ]
+    tau, verify = (["--config", cfg, name] for name in ("tau", "verify"))
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    for run in (zeros, args):
+    for run in (zeros, tau, verify, args):
         assert main(run + ["--out", str(out1)]) == 0
         assert main(run + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -514,9 +515,10 @@ def test_cheap_commands_exit_code_contract():
 
 
 def test_evaluate_exit_code_contract():
-    # a command that seeds and transports: over real thetas and sigma and
-    # complex c0, cx of moduli 1e-3..1e3, evaluate exits 0, 2, 3 or 4,
-    # and on 0 prints strict JSON
+    # the commands that seed, transport and difference: over real thetas
+    # and sigma and complex c0, cx of moduli 1e-3..1e3, evaluate, verify,
+    # monodromy and tau at a point, and the refined zeros and poles on a
+    # two-root window, exit 0, 2, 3 or 4, and on 0 print strict JSON
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     thetas = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
@@ -525,16 +527,22 @@ def test_evaluate_exit_code_contract():
     constants = st.lists(polar, min_size=2, max_size=2)
     sigmas = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
     points = st.sampled_from(("20j", "25j", "40j", "100j", "3+41j"))
+    names = st.sampled_from(("evaluate", "verify", "monodromy", "tau", "zeros", "poles"))
+    windows = st.integers(1, 12)
 
-    @hypothesis.settings(max_examples=12, derandomize=True, deadline=None, database=None)
-    @hypothesis.given(thetas, constants, sigmas, points)
-    def check(theta, c, sigma, x):
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(thetas, constants, sigmas, names, points, windows)
+    def check(theta, c, sigma, name, x, m):
+        if name in ("zeros", "poles"):
+            command = [name, "--m-from", str(m), "--m-to", str(m + 1)]
+        else:
+            command = [name, "--x-points" if name == "evaluate" else "--x", x]
         c0, cx = (cmath.rect(10.0**e, phi) for e, phi in c)
         values = (*theta, c0, cx, sigma)
         flags = [f"--{key}={complex(v)!r}" for key, v in zip(ZERO_CFG["parameters"], values)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([*flags, "evaluate", "--x-points", x])
+            rc = main([*flags, *command])
         assert rc in (0, 2, 3, 4), (rc, err.getvalue())
         if rc == 0:
             _strict_json(out.getvalue())

@@ -7,7 +7,6 @@ from pviso.errors import DomainError, OriginError, PathError, PvisoValueError, S
 from pviso.flow import (
     MAX_ORDER,
     FlowState,
-    _flow_field,
     _taylor_step,
     integrate,
     refine_from_series,
@@ -66,22 +65,17 @@ def test_rhs_origin_error():
 
 
 def test_flow_field_matches_matrix_formula():
-    # the scalar field the transport steps, against x dA0/dx = [Ax, A0],
-    # x dAx/dx = [A0, Ax] + (x/2)[J, Ax] in 2x2 matrix arithmetic, times
-    # the segment direction u
-    x0, x1 = 200j, 5.0 + 30j
-    length = abs(x1 - x0)
-    u = (x1 - x0) / length
-    f = _flow_field(x0, u)
+    # rhs in scalar arithmetic against x dA0/dx = [Ax, A0],
+    # x dAx/dx = [A0, Ax] + (x/2)[J, Ax] in 2x2 matrix arithmetic, on the
+    # axis and off it
     for xs in (200j, 60j):
         ab = series_A_pair(P1, xs)
-        y = [*ab.A0.ravel().tolist(), *ab.Ax.ravel().tolist()]
-        for t in (0.0, 0.37 * length, length):
-            x = x0 + t * u
-            d0 = commutator(ab.Ax, ab.A0) / x * u
-            dx = (commutator(ab.A0, ab.Ax) + (x / 2.0) * commutator(J, ab.Ax)) / x * u
-            ref = np.concatenate([d0.ravel(), dx.ravel()])
-            got = np.array(f(t, y))
+        for x in (xs, 5.0 + 30j):
+            d0, dx = rhs(FlowState(x=x, A0=ab.A0, Ax=ab.Ax, params=P1))
+            ref0 = commutator(ab.Ax, ab.A0) / x
+            refx = (commutator(ab.A0, ab.Ax) + (x / 2.0) * commutator(J, ab.Ax)) / x
+            ref = np.concatenate([ref0.ravel(), refx.ravel()])
+            got = np.concatenate([d0.ravel(), dx.ravel()])
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -97,8 +91,8 @@ def test_taylor_recurrence():
         h, cols = _taylor_step(xs, u, y, 1e-12, 1e6)
         assert 0.0 < h < 1e6 and all(len(col) == MAX_ORDER + 1 for col in cols)
         assert [col[0] for col in cols] == list(y)
-        field = _flow_field(xs, u)(0.0, full)
-        ref = np.array([field[i] for i in (0, 1, 2, 4, 5, 6)])
+        d0, dx = rhs(FlowState(x=xs, A0=ab.A0, Ax=ab.Ax, params=P1))
+        ref = u * np.array([*d0.ravel()[:3], *dx.ravel()[:3]])
         got = np.array([col[1] for col in cols])
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         assert all(a + e == 0.0 for a, e in zip(cols[0][1:], cols[3][1:]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pviso.flow import FlowState, integrate, refine_from_series
+from pviso.errors import PvisoValueError
+from pviso.flow import FlowState, integrate, ray_derivatives, refine_from_series
 from pviso.series import Parameters
 from pviso.tau import bilinear_residual, dlog_tau, dlog_tau_series
 
@@ -82,12 +83,13 @@ def test_bilinear_zero_state():
 def test_tau_sample_stencil_refinement(state40):
     # halving the stencil step shrinks the derivative-estimate error
     # roughly fourfold (second-order stencils)
-    from pviso.tau import tau_sample
-
-    coarse = tau_sample(P1, 40j, 2e-2, state=state40)
-    fine = tau_sample(P1, 40j, 1e-2, state=state40)
-    finest = tau_sample(P1, 40j, 5e-3, state=state40)
-    assert coarse.higher_derivs is not None
-    err_coarse = abs(coarse.higher_derivs[1] - finest.higher_derivs[1])
-    err_fine = abs(fine.higher_derivs[1] - finest.higher_derivs[1])
+    coarse, fine, finest = (
+        ray_derivatives(state40, 40j, h, dlog_tau, 3, 1e-12) for h in (2e-2, 1e-2, 5e-3)
+    )
+    err_coarse = abs(coarse[2] - finest[2])
+    err_fine = abs(fine[2] - finest[2])
     assert err_fine <= err_coarse / 2.5
+    # the stencil has no width for any other order
+    for order in (1, 4):
+        with pytest.raises(PvisoValueError, match=f"not {order}"):
+            ray_derivatives(state40, 40j, 1e-2, dlog_tau, order, 1e-12)

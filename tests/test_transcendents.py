@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pviso.errors import ConvergenceError, PvisoValueError, ResonanceError
+from pviso.errors import ConvergenceError, PvisoValueError, ResonanceError, StencilError
 from pviso.flow import (
     SEED_DEGREE,
     FlowState,
@@ -151,6 +152,30 @@ def test_pv_residual_negative_control():
         - y0 * (y0 + 1.0) / (2.0 * (y0 - 1.0))
     )
     assert abs(rhs) > 1e-2
+
+
+def test_pv_residual_stencil_at_pole_raises():
+    # a stencil sample at a refined pole of y: the centre, and the outer
+    # sample of the stencil one step h inside the pole along its ray
+    root = refine_lattice(P8P, LatticeKind.POLE, 10, 10).roots[0]
+    h = 1e-3
+    for x in (root.x, root.x * (1.0 - h / abs(root.x))):
+        message = f"the stencil about {x} is at or near a pole of y"
+        with pytest.raises(StencilError, match=re.escape(message)):
+            pv_residual(P8P, x, h, state=root)
+
+
+def test_pv_residual_centre_at_zero_or_one_raises():
+    # y at the stencil centre within 1e-10 of 0 (a refined zero of y) or
+    # of 1 (a pair whose products match, walked back to its own point)
+    root = refine_lattice(PZ, LatticeKind.ZERO, 10, 10).roots[0]
+    a, b, e = 0.1, 0.3 + 0.1j, -P1.thetainf / 2.0 - 0.1
+    g = b * (e + P1.thetax / 2.0) / (a + P1.theta0 / 2.0)
+    one = FlowState(x=40j, A0=[[a, b], [0.2, -a]], Ax=[[e, g], [0.4, -e]], params=P1)
+    assert abs(yzu_from_matrices(one).y - 1.0) < 1e-15
+    for p, state in ((PZ, root), (P1, one)):
+        with pytest.raises(StencilError, match="y at the stencil center is too close to 0 or 1"):
+            pv_residual(p, state.x, 1e-3, state=state)
 
 
 def test_zero_pole_seed_values():
