@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -223,7 +224,8 @@ def _cmd_evaluate(p: Parameters, opts: dict) -> tuple[dict, list]:
                 "x": _c2w(x),
                 "y": _c2w(pt.y) if not pt.pole else None,
                 "z": _c2w(pt.z),
-                "u": _c2w(pt.u),
+                # u is infinite where A0_11 + theta0/2 vanishes, written as null
+                "u": None if cmath.isinf(pt.u) else _c2w(pt.u),
                 "dlogtau": _c2w(h),
                 "pole": pt.pole,
             }
@@ -399,6 +401,8 @@ _FLAGS = {
 # entry point
 
 
+# built once per process: its eight subparsers take about 20 parses' time
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file")

@@ -98,17 +98,21 @@ class Seed(NamedTuple):
 
 
 def rhs(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
-    """(dA0/dx, dAx/dx) at the state's point.
+    """(dA0/dx, dAx/dx) at the state's point.  ``s`` may also be any
+    record of N states at once: x an array of N points, and A0, Ax of
+    shape (2, 2, N), as are the two derivatives then.
 
     With P = [Ax, A0]/x (P_11 = -P_00 since a commutator is traceless),
     dA0/dx = P and dAx/dx = -P + [J, Ax]/2, where [J, Ax]/2 has
     off-diagonal (Ax_01, -Ax_10).
     """
-    if s.x == 0:
-        raise OriginError("the vector field is singular at x = 0")
-    (a, b), (c, d) = s.A0.tolist()
-    (e, g), (k, m) = s.Ax.tolist()
-    w = 1.0 / s.x
+    try:
+        w = 1.0 / s.x
+    except ZeroDivisionError:
+        raise OriginError("the vector field is singular at x = 0") from None
+    # one state's entries as plain complex numbers: faster than numpy scalars
+    (a, b), (c, d) = s.A0.tolist() if s.A0.ndim == 2 else s.A0
+    (e, g), (k, m) = s.Ax.tolist() if s.Ax.ndim == 2 else s.Ax
     p00 = (g * c - b * k) * w
     p01 = (b * (e - m) - g * (a - d)) * w
     p10 = (k * (a - d) - c * (e - m)) * w
@@ -270,6 +274,8 @@ def ray_derivatives(s: FlowState, x: complex, h: float, value, order: int, tol: 
     d3 = (v_2 - 2 v_1 + 2 v_-1 - v_-2)/2d^3."""
     if order not in (2, 3):
         raise PvisoValueError(f"centred derivatives are of order 2 or 3, not {order}")
+    if x == 0:
+        raise OriginError("a ray through x = 0 has no direction")
     unit = x / abs(x)
     step = h * unit
     v = [value(st) for st in walk(s, [x + k * h * unit for k in range(1 - order, order)], tol)]

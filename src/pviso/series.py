@@ -22,15 +22,16 @@ two-parameter families are this same series at sigma =
 The order-by-order solver is generic in the total degree D: the plan
 of the solve is built from the term list once per degree, on first use,
 and each parameter set steps through it; the basis of (D+1)^2 terms
-E^n x^-k comes from powers of E+, E- and 1/x.
+E^n x^-k is gathered, by an index cached per degree, from a table of
+the powers of E+, E- and 1/x, at one point or at an array of points.
 ``series_seed`` evaluates the pair at any degree together with its seed
 truncation, the largest entry of the degree-D terms' contribution to A0
 and Ax; ``series_A_pair`` is its degree 3.  Both evaluate the pair only
 in the admissible strip, where |E+| and |E-| stay below ``EPS``.  The
 zero/pole lattice roots lie beyond it, where the double series still
-converges; ``_sector_seed`` evaluates the pair there for
-``transcendents.series_root``, which trusts it only as far as the
-truncation it returns.
+converges; ``_series_pair`` evaluates the pair there at every Newton
+iterate of a lattice at once, for ``transcendents.refine_lattice``,
+which trusts it only as far as the truncation it returns.
 """
 
 from __future__ import annotations
@@ -342,35 +343,72 @@ def _l2_coefficients(p: Parameters, degree: int = _L2_DEGREE) -> np.ndarray:
     return out
 
 
-def _basis(ep: complex, em: complex, ix: complex, degree: int) -> np.ndarray:
-    """The terms E^n x^-k at one point, in ``_terms(degree)`` order, as
-    E+^n x^-k (n >= 0) or E-^-n x^-(k+2n) (n < 0): a power of E+ or E-
-    times a power of 1/x.  Powers come from repeated
-    multiplication, and a mixed term is one product of two powers."""
-    pe, pm, pi = [1.0, ep], [1.0, em], [1.0, ix]
-    for _ in range(2, degree + 1):
-        pe.append(pe[-1] * ep)
-        pm.append(pm[-1] * em)
-        pi.append(pi[-1] * ix)
-    terms = [1.0]
-    for d in range(1, degree + 1):  # n = -d, ..., d
-        terms.append(pm[d])
-        for a in range(d - 1, 0, -1):
-            terms.append(pm[a] * pi[d - a])
-        terms.append(pi[d])
-        for a in range(1, d):
-            terms.append(pe[a] * pi[d - a])
-        terms.append(pe[d])
-    return np.array(terms)
+@functools.lru_cache(maxsize=None)
+def _basis_index(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponents 0..degree of ``_basis``'s power table, whose row
+    3 j + r is the j-th power of E-, E+ or 1/x for r = 0, 1, 2, and the
+    rows each term E^n x^-k multiplies: E-^-n (n < 0) or E+^n, and
+    x^-(k+2n) (n < 0) or x^-k."""
+    terms = _terms(degree)
+    e_rows = np.array([3 * abs(n) + (n > 0) for n, _ in terms])
+    return np.arange(degree + 1), e_rows, np.array([3 * (n + k - abs(n)) + 2 for n, k in terms])
 
 
-def _l2_components(p, ep, em, ix, degree=_L2_DEGREE):
-    """f0 and the normalized Fp, Gp, Fm, Gm at one point (see above) from
-    every term of total degree <= ``degree``, with the coefficients and
-    the terms E^n x^-k they sum."""
+def _basis(ep, em, ix, degree: int) -> np.ndarray:
+    """The terms E^n x^-k in ``_terms(degree)`` order, as E+^n x^-k
+    (n >= 0) or E-^-n x^-(k+2n) (n < 0), at one point or at an array of
+    points (one column each): the product of two rows of a table of the
+    powers 0..degree of E-, E+ and 1/x."""
+    powers, e_rows, x_rows = _basis_index(degree)
+    base = np.array([em, ep, ix])
+    table = (base ** powers.reshape(-1, *[1] * base.ndim)).reshape(-1, *base.shape[1:])
+    return table[e_rows] * table[x_rows]
+
+
+def _expansion(p: Parameters, x: complex) -> tuple:
+    """(E+, E-, 1/x, e^x, x^((sigma+thetainf)/2), x^((sigma-thetainf)/2))
+    at x, on the principal branch of log x; the last three are the scale
+    ``_unnormalize`` takes."""
+    lx = complex(math.log(abs(x)), cmath.phase(x))
+    ex = cmath.exp(x)
+    x_s1 = branched_power(lx, p.sigma - 1.0)  # x^(sigma-1)
+    w = branched_power(lx, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
+    v = branched_power(lx, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
+    # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
+    return ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x, ex, w, v
+
+
+def _unnormalize(scale, fp, gp, fm, gm):
+    """(f+, g+, f-, g-) from the normalized (Fp, Gp, Fm, Gm), with scale
+    (e^x, x^((sigma+thetainf)/2), x^((sigma-thetainf)/2)) from
+    ``_expansion``; scalars or arrays alike."""
+    ex, w, v = scale
+    return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
+
+
+def _pair(p: Parameters, scale, sums) -> tuple[np.ndarray, np.ndarray]:
+    """A0 and Ax, of shape (2, 2) or (2, 2, N), from the sums (dl, Fp,
+    Gp, Fm, Gm) of a series (see above) at one point or at N points, with
+    the scale ``_expansion`` gives there."""
+    # one point's sums as plain complex numbers: faster than numpy scalars
+    dl, *normalized = sums.tolist() if sums.ndim == 1 else sums
+    f0 = (p.sigma - p.thetainf) / 4.0 + dl
+    g0 = -p.thetainf / 2.0 - f0
+    fplus, gplus, fminus, gminus = _unnormalize(scale, *normalized)
+    return mat(f0, fplus, fminus, -f0), mat(g0, gplus, gminus, -g0)
+
+
+def _series_pair(p: Parameters, expansion, degree: int):
+    """``_pair`` from every term of total degree <= ``degree`` at the
+    point whose ``_expansion`` is ``expansion``, or at N points at once
+    from a (6, N) array of theirs, and the seed truncation: the largest
+    entry of the degree-``degree`` terms' contribution to A0 and Ax."""
+    ep, em, ix, *scale = expansion
     coefs, basis = _l2_coefficients(p, degree), _basis(ep, em, ix, degree)
-    dl, fp, gp, fm, gm = (coefs @ basis).tolist()
-    return ((p.sigma - p.thetainf) / 4.0 + dl, fp, gp, fm, gm), coefs, basis
+    top = degree * degree  # the terms of total degree `degree` come last
+    tail_dl, *tail = coefs[:, top:] @ basis[top:]
+    truncation = np.max(np.abs([tail_dl, *_unnormalize(scale, *tail)]), axis=0)
+    return (*_pair(p, scale, coefs @ basis), truncation)
 
 
 def _in_strip(p: Parameters, x: complex) -> complex:
@@ -381,35 +419,11 @@ def _in_strip(p: Parameters, x: complex) -> complex:
     return x
 
 
-def _expansion(p: Parameters, x: complex):
-    """The principal-branch log of x and e^x, E+, E-, 1/x there."""
-    lx = complex(math.log(abs(x)), cmath.phase(x))
-    ex = cmath.exp(x)
-    x_s1 = branched_power(lx, p.sigma - 1.0)  # x^(sigma-1)
-    # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
-    return lx, ex, ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x
-
-
-def _unnormalize(p: Parameters, lx: complex, ex: complex, fp, gp, fm, gm):
-    """(f+, g+, f-, g-) from the normalized (Fp, Gp, Fm, Gm) at the x
-    with log x = ``lx`` and e^x = ``ex``."""
-    w = branched_power(lx, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
-    v = branched_power(lx, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
-    return fp / w, gp * ex * v, fm * w, gm * (1.0 / ex) / v
-
-
-def _ab_pair(p, lx, ex, f0, fp, gp, fm, gm) -> ABPair:
-    """The pair from f0 and the normalized Fp, Gp, Fm, Gm at x, log x = ``lx``."""
-    g0 = -p.thetainf / 2.0 - f0
-    fplus, gplus, fminus, gminus = _unnormalize(p, lx, ex, fp, gp, fm, gm)
-    return ABPair(A0=mat(f0, fplus, fminus, -f0), Ax=mat(g0, gplus, gminus, -g0))
-
-
 def series_A_pair(p: Parameters, x: complex) -> ABPair:
     """The pair (A0, Ax) of the generic three-parameter series at x from
     every term of total degree <= 3 (see the module docstring)."""
-    lx, ex, ep, em, ix = _expansion(p, _in_strip(p, x))
-    return _ab_pair(p, lx, ex, *_l2_components(p, ep, em, ix)[0])
+    ep, em, ix, *scale = _expansion(p, _in_strip(p, x))
+    return ABPair(*_pair(p, scale, _l2_coefficients(p) @ _basis(ep, em, ix, _L2_DEGREE)))
 
 
 def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -419,22 +433,5 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     contribution to A0 and Ax.  That last order overestimates the error
     of the sum (at 250i and degree 5, by 30-50x against a degree-12
     series).  Raises DomainError outside the admissible strip."""
-    return _sector_seed(p, _in_strip(p, x), degree)
-
-
-def _sector_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """``series_seed`` without its strip test: x need only lie in the
-    sector of ``domain_check`` (|arg x - pi/2| < pi/2 - 0.1, |x| > 20),
-    else DomainError.  Beyond the strip the sum still converges for a
-    while, and only the truncation it returns says how far to trust it."""
-    x = complex(x)
-    if not _in_sector(x):
-        raise DomainError(f"x = {x} outside the sector |arg x - pi/2| < pi/2 - 0.1, |x| > 20")
-    lx, ex, ep, em, ix = _expansion(p, x)
-    components, coefs, basis = _l2_components(p, ep, em, ix, degree)
-    ab = _ab_pair(p, lx, ex, *components)
-    top = degree * degree  # the terms of total degree `degree` come last
-    tail_dl, *tail = (coefs[:, top:] @ basis[top:]).tolist()
-    truncation = max(abs(tail_dl), *map(abs, _unnormalize(p, lx, ex, *tail)))
-    return ab.A0, ab.Ax, truncation
-
+    A0, Ax, truncation = _series_pair(p, _expansion(p, _in_strip(p, x)), degree)
+    return A0, Ax, float(truncation)

@@ -9,9 +9,10 @@ y is the quotient
 which stays computable from the matrix pair right through the zeros and
 poles of y itself (the pair is holomorphic there; only the quotient
 degenerates).  So a root is refined by Newton on the pair: on the
-degree-12 series pair wherever its measured truncation allows
-(``series_root``), and on flow-transported states elsewhere
-(``refine_root``).  ``pv_residual`` differences y by ``flow.ray_derivatives``.
+degree-12 series pair wherever its measured truncation allows (for
+all roots of a lattice as one batch, ``_series_roots``), and on
+flow-transported states elsewhere (``refine_root``).  ``pv_residual``
+differences y by ``flow.ray_derivatives``.
 """
 
 from __future__ import annotations
@@ -19,19 +20,21 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
-    DomainError,
     PvisoNumericalError,
     PvisoValueError,
     ResonanceError,
     StencilError,
 )
 from .flow import FlowState, Seed, _drift_budget, integrate, ray_derivatives, rhs, seed_at
-from .series import Parameters, _sector_seed, smallness_score
+from .series import Parameters, _expansion, _in_sector, _series_pair, smallness_score
 
 __all__ = [
     "PVPoint",
@@ -42,17 +45,16 @@ __all__ = [
     "zero_pole_seeds",
     "root_check",
     "refine_root",
-    "series_root",
     "refine_lattice",
     "backlund_pi",
 ]
 
 _POLE_CUTOFF = 1e-13
-# Newton steps refine_root and series_root take before they give up
+# Newton steps refine_root and the series batch take before they give up
 MAX_NEWTON = 30
 # a root is accepted once |F| <= root_tol and its Newton step is this small
 ROOT_STEP = 1e-12
-# total degree of the series pair series_root runs Newton on
+# total degree of the series pair the lattice runs Newton on
 ROOT_SERIES_DEGREE = 12
 
 
@@ -192,12 +194,14 @@ def zero_pole_seeds(p: Parameters, kind: LatticeKind, m_from: int, m_to: int) ->
     return SeedLattice(kind=kind, rho=rho, seeds=seeds, score=score, strip_level=level)
 
 
-def _newton(s: FlowState, kind: LatticeKind) -> tuple[complex, complex]:
+def _newton(s: FlowState, kind: LatticeKind):
     """F and the Newton step -F/F' at the state, for F = N/D with
     N = (Ax)_12 (A0_11 + theta0/2), D = A0_12 ((Ax)_11 + thetax/2) when
     seeking zeros of y, and N, D swapped (F = 1/y) for poles.  N' and D'
     come from the flow's vector field, so -F/F' = -N D / (N' D - N D')
-    is exact; a vanishing D or F' gives an infinite F or step."""
+    is exact; a vanishing D or F' gives a non-finite F or step.  ``s``
+    may also be a record of N states, as ``rhs`` takes it, and F and the
+    step are then arrays."""
     a0, ax = s.A0, s.Ax
     da0, dax = rhs(s)
     p0 = a0[0, 0] + s.params.theta0 / 2.0
@@ -207,8 +211,8 @@ def _newton(s: FlowState, kind: LatticeKind) -> tuple[complex, complex]:
     dd = da0[0, 1] * px + a0[0, 1] * dax[0, 0]
     if kind is LatticeKind.POLE:
         n, d, dn, dd = d, n, dd, dn
-    slope = dn * d - n * dd
-    return (n / d if d != 0 else math.inf), (-n * d / slope if slope != 0 else math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return n / d, -n * d / (dn * d - n * dd)
 
 
 def root_check(s: FlowState, kind: LatticeKind) -> tuple[float, float]:
@@ -241,50 +245,61 @@ def refine_root(
         f, step = _newton(state, kind)
         if abs(f) <= tol and abs(step) <= ROOT_STEP:
             return state
-        if abs(step) > 2.0:
+        if not abs(step) <= 2.0:
             raise ConvergenceError(f"Newton step {abs(step):.2f} leaves the basin of seed {seed}")
         state = integrate(state, state.x + step, flow_tol)
     raise ConvergenceError(f"no convergence after {MAX_NEWTON} Newton iterations")
 
 
-def series_root(
-    p: Parameters,
-    seed: complex,
-    kind: LatticeKind,
-    tol: float = 1e-9,
-    *,
-    flow_tol: float = 1e-12,
-) -> tuple[FlowState, float] | None:
-    """Newton refinement of a root, as ``refine_root`` does it, on the
-    series pair of total degree ``ROOT_SERIES_DEGREE`` at each iterate:
-    no transport.
+# N states in the form rhs and _newton take: x (N,), A0 and Ax (2, 2, N)
+_Iterates = namedtuple("_Iterates", "x A0 Ax params")
+
+
+def _series_roots(
+    p: Parameters, seeds: list[complex], kind: LatticeKind, tol: float, flow_tol: float
+) -> list[tuple[FlowState, float] | None]:
+    """Newton refinement of every seed's root, as ``refine_root`` does
+    it, on the series pair of total degree ``ROOT_SERIES_DEGREE`` at each
+    iterate: no transport, and all seeds as one batch.
 
     The lattice roots lie outside the strip ``series_seed`` admits
     (|E-| = 0.24 at P8Z's zero at m = 10), where the series still
     converges.  So the pair is evaluated in the strip's sector alone, and
-    the root is accepted when its seed truncation fits the drift budget
-    at ``flow_tol``, the rule ``seed_at`` applies.
-
-    Returns the state at the root and its seed truncation, or None when
-    the series does not reach the root: an iterate leaves the sector or
-    the series overflows there, a Newton step leaves the seed's basin
-    (> 2), Newton does not converge, or the truncation at the root is
-    over the budget.
-    """
-    x = complex(seed)
+    a root is accepted when its seed truncation fits the drift budget at
+    ``flow_tol``, the rule ``seed_at`` applies.  Returns, per seed, the
+    state at its root and its seed truncation, or None when an iterate
+    leaves the sector or is not finite there (whatever numpy's error
+    state), a Newton step leaves the seed's basin (> 2), Newton does not
+    converge, or the truncation at the root is over the budget."""
+    x = np.array(seeds, dtype=complex)
+    hits = [None] * len(x)
+    live = np.arange(len(x))
     for _ in range(MAX_NEWTON):
-        try:
-            A0, Ax, truncation = _sector_seed(p, x, ROOT_SERIES_DEGREE)
-        except (DomainError, ArithmeticError):
-            return None
-        state = FlowState(x=x, A0=A0, Ax=Ax, params=p)
-        f, step = _newton(state, kind)
-        if abs(f) <= tol and abs(step) <= ROOT_STEP:
-            return (state, truncation) if truncation <= _drift_budget(A0, Ax, flow_tol) else None
-        if not abs(step) <= 2.0:
-            return None
-        x += step
-    return None
+        rows, expansions = [], []
+        for i, xi in zip(live.tolist(), x[live].tolist()):
+            if _in_sector(xi):
+                try:
+                    expansions.append(_expansion(p, xi))
+                except ArithmeticError:
+                    continue
+                rows.append(i)
+        if not rows:
+            break
+        rows = np.array(rows)
+        with np.errstate(all="ignore"):
+            A0, Ax, truncation = _series_pair(p, np.array(expansions).T, ROOT_SERIES_DEGREE)
+            f, step = _newton(_Iterates(x[rows], A0, Ax, p), kind)
+            entries = [*A0.reshape(4, -1), *Ax.reshape(4, -1), f, step, truncation]
+            finite = np.isfinite(entries).all(axis=0)
+            converged = finite & (abs(f) <= tol) & (abs(step) <= ROOT_STEP)
+            moving = finite & ~converged & (abs(step) <= 2.0)
+        for j in np.flatnonzero(converged):
+            state = FlowState(x=x[rows[j]], A0=A0[..., j], Ax=Ax[..., j], params=p)
+            if truncation[j] <= _drift_budget(state.A0, state.Ax, flow_tol):
+                hits[rows[j]] = state, float(truncation[j])
+        live = rows[moving]
+        x[live] += step[moving]
+    return hits
 
 
 def refine_lattice(
@@ -297,10 +312,11 @@ def refine_lattice(
     flow_tol: float = 1e-12,
 ) -> SeedLattice:
     """The seeds of ``zero_pole_seeds`` for m_from..m_to refined from the
-    top down.  Each root is tried first by ``series_root``, which needs
-    no transport.  A root the series does not reach is refined by
-    ``refine_root``, from the state at the root above, or at the top seed
-    from an anchor state that ``flow.seed_at`` seeds on the axis.
+    top down.  Every root is tried first on the series, all in one batch
+    with no transport (``_series_roots``).  A root the series does not
+    reach is refined by ``refine_root``, from the state at the root
+    above, or at the top seed from an anchor state that ``flow.seed_at``
+    seeds on the axis.
 
     The returned lattice's ``roots`` holds the state at each root in seed
     order, ``sources`` says which path reached it, and
@@ -309,9 +325,10 @@ def refine_lattice(
     from for a transported one.  ``anchor`` is the anchor's seed, or None
     when the top root came from the series."""
     lattice = zero_pole_seeds(p, kind, m_from, m_to)
+    seeds = [seed for _, seed in lattice.seeds]
+    hits = _series_roots(p, seeds, kind, root_tol, flow_tol)
     state, truncation, found = None, None, []
-    for _, seed in reversed(lattice.seeds):
-        hit = series_root(p, seed, kind, root_tol, flow_tol=flow_tol)
+    for seed, hit in zip(reversed(seeds), reversed(hits)):
         if hit is not None:
             (state, truncation), source = hit, "series"
         else:

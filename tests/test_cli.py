@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from pviso import flow
+from pviso import cli, flow
 from pviso.cli import main
 
 ZERO_CFG = {
@@ -178,6 +178,45 @@ def test_evaluate_and_determinism(tmp_path):
     pt = doc["result"]["points"][0]
     assert pt["x"] == [0.0, 40.0]
     assert not pt["pole"]
+
+
+def test_parser_built_once_per_process(capsys):
+    # main reuses one parser: zeros, poles, then zeros again print the
+    # bytes a freshly built parser gives, and argparse's own errors still
+    # exit 2 in between
+    def flags(cfg):
+        return [f"--{key}={v}" for key, v in cfg["parameters"].items()]
+
+    window = ["--m-from", "10", "--m-to", "12"]
+    runs = [["zeros", *flags(P8Z_CFG), *window], ["poles", *flags(P8P_CFG), *window]]
+    runs.append(runs[0])
+
+    def run(argv):
+        rc = main(argv)
+        return rc, capsys.readouterr().out
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [rc for rc, _ in fresh] == [0, 0, 0] and fresh[0] == fresh[2]
+    assert [run(argv) for argv in runs] == fresh
+    for bad in (["zeros", "--no-such-flag"], ["no-such-command"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert run(runs[1]) == fresh[1]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_evaluate_infinite_u_is_null(tmp_path):
+    # at the zero pair A0_11 + theta0/2 vanishes, so u is infinite: it is
+    # written as null, beside y's pole, and the JSON stays strict
+    cfg = _write(tmp_path, ZERO_CFG)
+    out = tmp_path / "u.json"
+    assert main(["--config", cfg, "evaluate", "--x-points", "20j", "--out", str(out)]) == 0
+    (point,) = _strict_json(out.read_text())["result"]["points"]
+    assert point["u"] is None and point["y"] is None and point["pole"]
 
 
 def test_config_parse_error_exit_code(tmp_path):
@@ -375,14 +414,15 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
 
 def test_zeros_mixed_sources(tmp_path):
     # P8Z's degree-12 truncation passes the drift budget at the zeros
-    # m >= 7 only (6.9e-9 against 1.7e-9 at m = 6): the rows below are
-    # transported down from the series root at m = 7 and carry its seed
-    # truncation; no row is seeded on the axis, so there is no anchor
+    # m >= 7 only (6.9e-9 against 1.7e-9 at m = 6): the series batch
+    # reaches m = 7..12, and the rows below are transported down from the
+    # series root at m = 7 and carry its seed truncation; no row is
+    # seeded on the axis, so there is no anchor
     cfg = _write(tmp_path, P8Z_CFG)
-    rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "3", "--m-to", "9"])
+    rc, doc = _run(tmp_path, ["--config", cfg, "zeros", "--m-from", "3", "--m-to", "12"])
     assert rc == 0 and "anchor" not in doc["result"]
     table = doc["result"]["table"]
-    assert [row["source"] for row in table] == ["transport"] * 4 + ["series"] * 3
+    assert [row["source"] for row in table] == ["transport"] * 4 + ["series"] * 6
     assert [row["seed_truncation"] for row in table[:5]] == [table[4]["seed_truncation"]] * 5
     assert all(row["residual"] <= 1e-9 and row["root_error"] <= 1e-12 for row in table)
 

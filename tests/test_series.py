@@ -188,6 +188,21 @@ def test_generated_basis_matches_written_out_degree3():
     assert np.allclose(_basis(ep, em, ix, 6), powers, rtol=1e-13, atol=0.0)
 
 
+def test_basis_on_points_matches_definition():
+    # _basis on 30 points, one column each, against the definition
+    # E+^n x^-k (n >= 0), E-^-n x^-(k+2n) (n < 0) in plain complex powers
+    rng = np.random.default_rng(3)
+    ep, em = (0.3 * (rng.normal(size=30) + 1j * rng.normal(size=30)) for _ in range(2))
+    ix = 1.0 / (rng.uniform(20.0, 260.0, 30) * np.exp(1j * rng.uniform(0.2, 2.9, 30)))
+    points = list(zip(ep.tolist(), em.tolist(), ix.tolist()))
+    for degree in (3, 6, 12):
+        got = _basis(ep, em, ix, degree)
+        assert got.shape == ((degree + 1) ** 2, 30)
+        for row, (n, k) in zip(got, _terms(degree)):
+            want = np.array([(m if n < 0 else e) ** abs(n) * i ** (n + k - abs(n)) for e, m, i in points])
+            assert np.max(np.abs(row - want) / np.abs(want)) <= 1e-14, (degree, n, k)
+
+
 def test_series_seed_truncation_is_last_degree():
     # degree 3: series_seed is series_A_pair, and its truncation estimate is
     # the gap to the same sum without the degree-3 terms

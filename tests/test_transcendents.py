@@ -5,7 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from pviso.errors import ConvergenceError, PvisoValueError, ResonanceError, StencilError
+from pviso.errors import (
+    ConvergenceError,
+    OriginError,
+    PvisoValueError,
+    ResonanceError,
+    StencilError,
+)
 from pviso.flow import (
     SEED_DEGREE,
     FlowState,
@@ -16,10 +22,12 @@ from pviso.flow import (
     seed_state,
 )
 from pviso.linalg import mat_norm
-from pviso.series import Parameters, series_seed, smallness_score
+from pviso.series import Parameters, _basis, _expansion, series_seed, smallness_score
 from pviso.transcendents import (
+    ROOT_SERIES_DEGREE,
     ROOT_STEP,
     _newton,
+    _series_roots,
     LatticeKind,
     root_check,
     backlund_pi,
@@ -333,6 +341,31 @@ def test_series_roots_match_transported_roots(p, kind):
         assert 0.0 < truncation <= _drift_budget(root.A0, root.Ax, 1e-12)
         state = refine_root(seed, kind, state=state)
         assert abs(state.x - root.x) <= 1e-9
+
+
+def test_series_batch_keeps_rows_beside_an_overflowing_one():
+    # at 70 + 100i, inside the sector, |E+| ~ 3e28, so the degree-12 terms
+    # overflow; under numpy's raising error state that row fails alone
+    # and the others reach their roots, as they do in a batch of their own
+    bad = 70 + 100j
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(_basis(*_expansion(PZ, bad)[:3], ROOT_SERIES_DEGREE)))
+    seeds = [seed for _, seed in zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 14).seeds]
+    alone = _series_roots(PZ, seeds, LatticeKind.ZERO, 1e-9, 1e-12)
+    with np.errstate(all="raise"):
+        mixed = _series_roots(PZ, [seeds[0], bad, *seeds[1:]], LatticeKind.ZERO, 1e-9, 1e-12)
+    assert mixed[1] is None
+    del mixed[1]
+    assert all(hit is not None for hit in alone)
+    for (state, truncation), (other, other_truncation) in zip(alone, mixed):
+        assert abs(state.x - other.x) <= 1e-12
+        assert abs(truncation - other_truncation) <= 1e-12 * truncation
+
+
+def test_stencil_at_origin_raises_origin_error():
+    # the ray through x = 0 has no direction, as the field has no value there
+    with pytest.raises(OriginError):
+        pv_residual(P1, 0, state=seed_state(P1, 40j).state)
 
 
 @pytest.mark.parametrize("p, kind", [(PZ, LatticeKind.ZERO), (P8P, LatticeKind.POLE)])
