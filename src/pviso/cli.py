@@ -258,7 +258,7 @@ def _cmd_lattice(p: Parameters, opts: dict, kind: transcendents.LatticeKind):
             err = abs(st.x - seed)
             # m / log m is undefined at m = 1
             scaled = err * m / math.log(m) if m > 1 else None
-            fval, root_error = transcendents.root_check(st, kind)
+            fval, root_error = lattice.newton[i]
             rec.update(
                 refined=_c2w(st.x),
                 abs_error=err,

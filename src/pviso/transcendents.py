@@ -43,7 +43,6 @@ __all__ = [
     "yzu_from_matrices",
     "pv_residual",
     "zero_pole_seeds",
-    "root_check",
     "refine_root",
     "refine_lattice",
     "backlund_pi",
@@ -85,12 +84,14 @@ class SeedLattice:
     score: float  # series.smallness_score of the parameters
     strip_level: float  # |rho c| for zeros, 1/|rho c| for poles
     # set by refine_lattice, in seed order: the state at each root, how it
-    # was reached ("series" or "transport"), and the seed truncation of the
-    # series behind it; and the seed of the anchor state on the axis at the
-    # top seed, when the top root was transported
+    # was reached ("series" or "transport"), the seed truncation of the
+    # series behind it, and (|F|, |step|) of the Newton evaluation that
+    # accepted it; and the seed of the anchor state on the axis at the top
+    # seed, when the top root was transported
     roots: list[FlowState] | None = None
     sources: list[str] | None = None
     seed_truncations: list[float] | None = None
+    newton: list[tuple[float, float]] | None = None
     anchor: Seed | None = None
 
     @property
@@ -215,13 +216,6 @@ def _newton(s: FlowState, kind: LatticeKind):
         return n / d, -n * d / (dn * d - n * dd)
 
 
-def root_check(s: FlowState, kind: LatticeKind) -> tuple[float, float]:
-    """The residual |y| (kind ZERO) or |1/y| (kind POLE) at the state, and
-    the root's error bar: the size of the Newton step from there."""
-    f, step = _newton(s, kind)
-    return float(abs(f)), float(abs(step))
-
-
 def refine_root(
     seed: complex,
     kind: LatticeKind,
@@ -229,7 +223,7 @@ def refine_root(
     *,
     state: FlowState,
     flow_tol: float = 1e-12,
-) -> FlowState:
+) -> tuple[FlowState, tuple[float, float]]:
     """Newton refinement of a zero of y (kind ZERO) or of 1/y (kind POLE)
     starting from ``seed``.
 
@@ -238,13 +232,14 @@ def refine_root(
     field, at no extra transport.
 
     Returns the state at the root, where |y| <= tol (resp. |1/y| <= tol)
-    and the Newton step is at most ``ROOT_STEP``.
+    and the Newton step is at most ``ROOT_STEP``, with (|F|, |step|) of
+    that Newton evaluation: the residual and the root's error bar.
     """
     state = integrate(state, complex(seed), flow_tol)
     for _ in range(MAX_NEWTON):
         f, step = _newton(state, kind)
         if abs(f) <= tol and abs(step) <= ROOT_STEP:
-            return state
+            return state, (float(abs(f)), float(abs(step)))
         if not abs(step) <= 2.0:
             raise ConvergenceError(f"Newton step {abs(step):.2f} leaves the basin of seed {seed}")
         state = integrate(state, state.x + step, flow_tol)
@@ -257,7 +252,7 @@ _Iterates = namedtuple("_Iterates", "x A0 Ax params")
 
 def _series_roots(
     p: Parameters, seeds: list[complex], kind: LatticeKind, tol: float, flow_tol: float
-) -> list[tuple[FlowState, float] | None]:
+) -> list[tuple[FlowState, float, tuple[float, float]] | None]:
     """Newton refinement of every seed's root, as ``refine_root`` does
     it, on the series pair of total degree ``ROOT_SERIES_DEGREE`` at each
     iterate: no transport, and all seeds as one batch.
@@ -267,10 +262,11 @@ def _series_roots(
     converges.  So the pair is evaluated in the strip's sector alone, and
     a root is accepted when its seed truncation fits the drift budget at
     ``flow_tol``, the rule ``seed_at`` applies.  Returns, per seed, the
-    state at its root and its seed truncation, or None when an iterate
-    leaves the sector or is not finite there (whatever numpy's error
-    state), a Newton step leaves the seed's basin (> 2), Newton does not
-    converge, or the truncation at the root is over the budget."""
+    state at its root, its seed truncation and (|F|, |step|) of the
+    Newton evaluation that accepted it, or None when an iterate leaves
+    the sector or is not finite there (whatever numpy's error state), a
+    Newton step leaves the seed's basin (> 2), Newton does not converge,
+    or the truncation at the root is over the budget."""
     x = np.array(seeds, dtype=complex)
     hits = [None] * len(x)
     live = np.arange(len(x))
@@ -296,7 +292,8 @@ def _series_roots(
         for j in np.flatnonzero(converged):
             state = FlowState(x=x[rows[j]], A0=A0[..., j], Ax=Ax[..., j], params=p)
             if truncation[j] <= _drift_budget(state.A0, state.Ax, flow_tol):
-                hits[rows[j]] = state, float(truncation[j])
+                newton = float(abs(f[j])), float(abs(step[j]))
+                hits[rows[j]] = state, float(truncation[j]), newton
         live = rows[moving]
         x[live] += step[moving]
     return hits
@@ -322,29 +319,31 @@ def refine_lattice(
     order, ``sources`` says which path reached it, and
     ``seed_truncations`` gives the seed truncation of the series behind
     it: its own for a series root, and that of the state it was carried
-    from for a transported one.  ``anchor`` is the anchor's seed, or None
-    when the top root came from the series."""
+    from for a transported one.  ``newton`` holds (|F|, |step|) of the
+    Newton evaluation that accepted each root.  ``anchor`` is the anchor's
+    seed, or None when the top root came from the series."""
     lattice = zero_pole_seeds(p, kind, m_from, m_to)
     seeds = [seed for _, seed in lattice.seeds]
     hits = _series_roots(p, seeds, kind, root_tol, flow_tol)
     state, truncation, found = None, None, []
     for seed, hit in zip(reversed(seeds), reversed(hits)):
         if hit is not None:
-            (state, truncation), source = hit, "series"
+            (state, truncation, newton), source = hit, "series"
         else:
             if state is None:
                 lattice.anchor = seed_at(p, 1j * seed.imag, flow_tol)
                 state, truncation = lattice.anchor.state, lattice.anchor.seed_truncation
-            state = refine_root(seed, kind, root_tol, state=state, flow_tol=flow_tol)
+            state, newton = refine_root(seed, kind, root_tol, state=state, flow_tol=flow_tol)
             source = "transport"
-        found.append((state, source, truncation))
-    lattice.roots, lattice.sources, lattice.seed_truncations = map(list, zip(*reversed(found)))
+        found.append((state, source, truncation, newton))
+    columns = map(list, zip(*reversed(found)))
+    lattice.roots, lattice.sources, lattice.seed_truncations, lattice.newton = columns
     return lattice
 
 
 def backlund_pi(
     p: Parameters, x: complex, y: complex, Ax11: complex
-) -> tuple[complex, Parameters]:
+) -> tuple[complex, tuple[complex, complex, complex]]:
     """Backlund transform of y through the matrix entry (Ax)_11:
 
         Y = x^-1 (y-1) ((Ax)_11 + thetax/2 - ((Ax)_11 - thetax/2)/y),
@@ -356,10 +355,11 @@ def backlund_pi(
         thetax' = (theta0 + thetainf - thetax)/2,
         thetainf' = 1 - theta0 - thetax,
 
-    returned in the attached parameter record.  (The substitution was
-    pinned numerically by fitting the transformed function against the
-    equation's three parameter invariants; the zero locus of the output
-    sits exactly on y = 1 through the (y-1) factor.)
+    returned as the triple (theta0', thetax', thetainf').  The output's
+    sigma, c0 and cx are not computed, so no parameter record is returned.
+    (The substitution was pinned numerically by fitting the transformed
+    function against the equation's three parameter invariants; the zero
+    locus of the output sits exactly on y = 1 through the (y-1) factor.)
     """
     if y == 0:
         raise PvisoValueError("Backlund transform undefined at y = 0")
@@ -367,10 +367,6 @@ def backlund_pi(
     Y = (y - 1.0) * (Ax11 + tx / 2.0 - (Ax11 - tx / 2.0) / y) / x
     if abs(1.0 + Y) < 1e-300:
         raise PvisoValueError("Backlund transform pole: 1 + Y = 0")
-    t0, txv, ti = p.theta0, p.thetax, p.thetainf
-    new_params = p.replace(
-        theta0=1.0 + (txv + ti - t0) / 2.0,
-        thetax=(t0 + ti - txv) / 2.0,
-        thetainf=1.0 - t0 - txv,
-    )
-    return Y / (1.0 + Y), new_params
+    t0, ti = p.theta0, p.thetainf
+    thetas = (1.0 + (tx + ti - t0) / 2.0, (t0 + ti - tx) / 2.0, 1.0 - t0 - tx)
+    return Y / (1.0 + Y), thetas

@@ -74,6 +74,16 @@ def test_blow_up_raises_step_underflow():
         integrate_rk54(lambda t, y: [y[0] * y[0]], 0.0, 2.0, [1.0], 1e-10)
 
 
+def test_nan_member_raises_step_underflow():
+    # a member whose field turns NaN fails every error test, so the kernel
+    # raises rather than carry NaN beside the finite members
+    def f(t, y):
+        return [np.array([1j, np.nan]) * y[0]]
+
+    with pytest.raises(StepUnderflowError):
+        integrate_rk54(f, 0.0, 1.0, [np.ones(2, dtype=complex)], 1e-12)
+
+
 def test_repeated_runs_are_identical():
     def f(t, y):
         return [1j * y[0] + 0.1 * y[1], -y[1] * cmath.cos(t)]
@@ -141,3 +151,34 @@ def test_batch_steps_with_its_hardest_member():
     assert len(calls_both) >= len(calls_fast)
     assert abs(out[0, 0] - cmath.exp(0.5j)) <= 1e-11
     assert abs(out[0, 1] - cmath.exp(40j)) <= 1e-10
+
+
+def test_dense_table_matches_named_rows_and_order_conditions():
+    A, c, b = ode._A, ode._C, ode._B
+    assert A.shape == (12, 12) and c.shape == b.shape == (12,)
+    # stage i (1-based) couples stages 1..i-1 for i <= 3, stages 1 and
+    # 3..i-1 for i = 4..5, and stages 1 and 4..i-1 for i >= 6; no other
+    for i in range(2, 13):
+        cols = [1, *range(2 if i <= 3 else 3 if i <= 5 else 4, i)]
+        expected = np.zeros(12)
+        expected[[j - 1 for j in cols]] = getattr(ode, f"A{i}")
+        assert np.array_equal(A[i - 1], expected), i
+    assert not A[0].any()
+    for dense, named, cols in (
+        (ode._B, ode.B, [1, *range(6, 13)]),
+        (ode._E5, ode.E5, [1, *range(6, 13)]),
+        (ode._BHH, ode.BHH, [1, 9, 12]),
+    ):
+        expected = np.zeros(12)
+        expected[[j - 1 for j in cols]] = named
+        assert np.array_equal(dense, expected)
+    for row, node in zip(A, c):
+        assert abs(math.fsum(row) - node) <= 1e-14
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) <= 1e-14
+    # the order-3 and order-4 tree conditions
+    Ac = A @ c
+    assert abs(b @ Ac - 1.0 / 6.0) <= 1e-14
+    assert abs(b @ (c * Ac) - 1.0 / 8.0) <= 1e-14
+    assert abs(b @ (A @ c**2) - 1.0 / 12.0) <= 1e-14
+    assert abs(b @ (A @ Ac) - 1.0 / 24.0) <= 1e-14

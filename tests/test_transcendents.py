@@ -29,7 +29,6 @@ from pviso.transcendents import (
     _newton,
     _series_roots,
     LatticeKind,
-    root_check,
     backlund_pi,
     pv_residual,
     refine_lattice,
@@ -308,17 +307,20 @@ def test_refine_root_zeros(zero_lattice_state):
 
 
 def test_root_error_is_distance_to_polished_root():
-    # root_check's error bar is the Newton step at a state; two more steps
+    # a root's error bar is the Newton step at its state; two more steps
     # from there move the root by that much.  At a returned root the bar
     # is at most ROOT_STEP, often near the spacing of doubles at |x| ~ 60
     # (7e-15), so it is checked 1e-6 off each root, where the move is
-    # resolved, and the polished root must lie within ROOT_STEP
+    # resolved, and the polished root must lie within ROOT_STEP.  The
+    # lattice's (|F|, |step|), kept from the Newton evaluation that
+    # accepted each root, match a recompute at the root's state
     lat = refine_lattice(PZ, LatticeKind.ZERO, 10, 11, root_tol=1e-9)
-    for st in lat.roots:
-        residual, err = root_check(st, LatticeKind.ZERO)
+    for st, (residual, err) in zip(lat.roots, lat.newton):
+        f, step = _newton(st, LatticeKind.ZERO)
         assert residual <= 1e-9 and err <= ROOT_STEP
+        assert abs(residual - abs(f)) <= 1e-20 and abs(err - abs(step)) <= 1e-20
         off = integrate(st, st.x + 1e-6)
-        err = root_check(off, LatticeKind.ZERO)[1]
+        err = abs(_newton(off, LatticeKind.ZERO)[1])
         polished = off
         for _ in range(2):
             polished = integrate(polished, polished.x + _newton(polished, LatticeKind.ZERO)[1])
@@ -339,7 +341,7 @@ def test_series_roots_match_transported_roots(p, kind):
     rows = list(zip(lat.seeds, lat.roots, lat.seed_truncations))
     for (_, seed), root, truncation in reversed(rows):
         assert 0.0 < truncation <= _drift_budget(root.A0, root.Ax, 1e-12)
-        state = refine_root(seed, kind, state=state)
+        state, _ = refine_root(seed, kind, state=state)
         assert abs(state.x - root.x) <= 1e-9
 
 
@@ -357,7 +359,7 @@ def test_series_batch_keeps_rows_beside_an_overflowing_one():
     assert mixed[1] is None
     del mixed[1]
     assert all(hit is not None for hit in alone)
-    for (state, truncation), (other, other_truncation) in zip(alone, mixed):
+    for (state, truncation, _), (other, other_truncation, _) in zip(alone, mixed):
         assert abs(state.x - other.x) <= 1e-12
         assert abs(truncation - other_truncation) <= 1e-12 * truncation
 
@@ -395,7 +397,7 @@ def test_refine_root_negative_control(zero_lattice_state):
     m, seed = lat.seeds[1]
     shifted = seed + 1j * math.pi
     try:
-        root = refine_root(shifted, LatticeKind.ZERO, tol=1e-9, state=state).x
+        root = refine_root(shifted, LatticeKind.ZERO, tol=1e-9, state=state)[0].x
     except ConvergenceError:
         return
     dists = [abs(root - s) for _, s in lat.seeds]
@@ -403,12 +405,12 @@ def test_refine_root_negative_control(zero_lattice_state):
 
 
 def test_backlund_fixed_point_at_one():
-    y_new, p_new = backlund_pi(P1, 40j, 1.0, 0.3 + 0.1j)
+    y_new, (t0, tx, ti) = backlund_pi(P1, 40j, 1.0, 0.3 + 0.1j)
     assert y_new == 0.0
-    # substituted parameter record
-    assert abs((p_new.theta0 - p_new.thetax) - (1.0 - P1.theta0 + P1.thetax)) < 1e-15
-    assert abs((p_new.theta0 + p_new.thetax) - (1.0 + P1.thetainf)) < 1e-15
-    assert abs(p_new.thetainf - (1.0 - P1.theta0 - P1.thetax)) < 1e-15
+    # substituted constants
+    assert abs((t0 - tx) - (1.0 - P1.theta0 + P1.thetax)) < 1e-15
+    assert abs((t0 + tx) - (1.0 + P1.thetainf)) < 1e-15
+    assert abs(ti - (1.0 - P1.theta0 - P1.thetax)) < 1e-15
 
 
 def test_backlund_expanded_form_consistency():
@@ -453,18 +455,18 @@ def test_backlund_output_solves_substituted_equation():
     h = 1e-3
     vals = []
     anchor = state
-    p_new = None
+    thetas = None
     for k in (-1, 0, 1):
         xt = x0 + k * h * 1j
         anchor = integrate(anchor, xt, 1e-12) if anchor.x != xt else anchor
         pt = yzu_from_matrices(anchor)
-        v, p_new = backlund_pi(P1, xt, pt.y, anchor.Ax[0, 0])
+        v, thetas = backlund_pi(P1, xt, pt.y, anchor.Ax[0, 0])
         vals.append(v)
     ym1, y0, yp1 = vals
     step = h * 1j
     d1 = (yp1 - ym1) / (2.0 * step)
     d2 = (yp1 - 2.0 * y0 + ym1) / (step * step)
-    t0, tx, ti = p_new.theta0, p_new.thetax, p_new.thetainf
+    t0, tx, ti = thetas
     rhs = (
         (0.5 / y0 + 1.0 / (y0 - 1.0)) * d1 * d1
         - d1 / x0
