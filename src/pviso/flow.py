@@ -32,6 +32,7 @@ from .errors import (
     StepUnderflowError,
 )
 from .linalg import det2, mat, mat_norm, tr2
+from .ode import horner, radius
 from .series import EPS, Parameters, axis_radii, series_seed
 
 __all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_derivatives",
@@ -186,21 +187,13 @@ def _taylor_step(xs: complex, u: complex, y: tuple, tol: float, span: float):
         bsum.append(new[1] + new[4])
         csum.append(new[2] + new[5])
         size = max(map(abs, new))
-        r = (eps / size) ** (1.0 / (n + 1)) if size > 0.0 else math.inf
+        r = radius(eps, size, n + 1)
         if n:
             h = 0.9 * min(r_prev, r)
             if h >= span:
                 break
         r_prev = r
     return h, cols
-
-
-def _horner(coefficients: list, t: float) -> complex:
-    """The polynomial with these coefficients (lowest order first) at t."""
-    z = 0j
-    for coef in reversed(coefficients):
-        z = z * t + coef
-    return z
 
 
 def _transport_segment(x0, A0, Ax, x1, tol):
@@ -219,13 +212,13 @@ def _transport_segment(x0, A0, Ax, x1, tol):
             break
         if not h >= floor:  # a NaN h fails this too
             raise StepUnderflowError(f"step size underflow at x = {x0 + t * u} (h = {h})")
-        y = tuple(_horner(col, h) for col in cols)
+        y = tuple(horner(col, h) for col in cols)
         t += h
     else:
         raise StepUnderflowError(
             f"step budget of the segment [{x0}, {x1}] spent at x = {x0 + t * u} (h = {h})"
         )
-    a, b, c, e, g, k = (_horner(col, length - t) for col in cols)
+    a, b, c, e, g, k = (horner(col, length - t) for col in cols)
     return mat(a, b, c, -a), mat(e, g, k, -e)
 
 

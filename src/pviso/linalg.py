@@ -23,7 +23,6 @@ __all__ = [
     "mat_inv",
     "det2",
     "tr2",
-    "commutator",
     "mat_norm",
     "exp_J",
     "branched_power",
@@ -61,10 +60,6 @@ def mat_inv(a: np.ndarray) -> np.ndarray:
     if abs(d) <= 1e-300:
         raise SingularMatrixError(f"matrix is numerically singular, |det| = {abs(d)}")
     return mat(a[1, 1] / d, -a[0, 1] / d, -a[1, 0] / d, a[0, 0] / d)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def mat_norm(a: np.ndarray) -> float:

@@ -45,19 +45,10 @@ truncation error (``frame_truncation``; 9.2e-15 for the criterion-1
 state at R = 200, below the transport error).  One pass at R is
 therefore the whole computation.
 
-Every transfer is integrated in the interaction picture Y = e^(lambda J/2) Z
-(the substitution of exponential integrators; Hochbruck & Ostermann,
-Acta Numerica 2010), where
-
-    dZ/dlambda = e^(-lambda J/2) (A0/lambda + Ax/(lambda - x)) e^(lambda J/2) Z
-
-has no J/2 rotation left on its diagonal and carries e^(-+lambda) on its
-off-diagonal entries, which have unit modulus along the imaginary axis.
-The step size is then set by the 1/lambda and 1/(lambda - x) terms
-instead of the rotation: a single pass at R = 200 (400) takes 1.4x
-(1.6x) fewer field evaluations than stepping Y directly, at a transport
-error more than ten times smaller.  A chord's transfer is mapped back with
-W = e^(lambda_end J/2) Z e^(-lambda_start J/2).
+Every transfer steps Y itself by the Taylor recurrence of the linear
+system (``ode.integrate_rk54``).  The J/2 term is entire, so only the
+poles at 0 and x limit a step, and along a chord the coefficients of
+A0/lambda and Ax/(lambda - x) are two geometric series.
 
 The system is linear, so a loop's transfer is the ordered product of
 the transfers over its chords, and each of those starts from the
@@ -68,11 +59,7 @@ parallel-in-time property of linear propagators; Gander, "50 years of
 time parallel time integration", 2015), at the tolerance tightened by
 the loop's length.  The kernel's Python bookkeeping is then paid once
 per batched step rather than once per member: at R = 200 the two loops
-take 412 field calls (46,848 member evaluations).  The circle's chords
-ride the line's steps at that tolerance, which is where their accuracy
-comes from: a 24-gon stepped alone at tol 1e-12 takes 3 steps and lands
-7.7e-13 from a tol-1e-15 arc reference, ten times further than an arc
-stepped alone.
+take 9 Taylor steps (5 and 4), each one field call.
 
 A loop's transfer is P^-1 C P, with P the product over its line's
 chords and C the product over its circle's.  Every partial product, in
@@ -185,34 +172,29 @@ def normalized_frame(
 # transport
 
 
-def _linear_field(s: FlowState, starts: np.ndarray, chords: np.ndarray):
-    """The linear system's vector field in the interaction picture
-    Y = e^(lambda J/2) Z along a batch of chords, one member per chord on
-    lambda = starts + t chords, t in [0, 1], as arithmetic on arrays of
-    Z entries: dZ/dt = (C v) Z with C = e^(-lambda J/2) (A0/lambda +
-    Ax/(lambda - x)) e^(lambda J/2) and v the chord.  Conjugation
-    multiplies the (1,2) entry by e^(-lambda) and the (2,1) entry by
-    e^(lambda); the diagonal carries no +-v/2 rotation."""
-    a, b, c, d = s.A0.ravel().tolist()
-    e, g, k, m = s.Ax.ravel().tolist()
-    x = s.x
+def _geometric(r: np.ndarray, n: int) -> np.ndarray:
+    """(n, B) array of r (-r)^k, k = 0..n-1, for a batch r of length B."""
+    return np.cumprod(np.concatenate([r[None], np.broadcast_to(-r, (n - 1, r.size))]), axis=0)
 
-    def f(t, z):
+
+def _linear_field(s: FlowState, starts: np.ndarray, chords: np.ndarray):
+    """Taylor coefficients of the linear system's matrix along a batch of
+    chords, one member per chord on lambda = starts + t chords, t in
+    [0, 1]: dY/dt = C Y with C = (A0/lambda + Ax/(lambda - x) + J/2) v
+    and v the chord.  About lambda0 = starts + t v, with u = v/lambda0 and
+    w = v/(lambda0 - x), C_n = A0 u (-u)^n + Ax w (-w)^n, and J v/2 is
+    added to C_0.  ``f(t, n)`` returns C_0..C_(n-1) as an (n, 2, 2, B)
+    array."""
+    A0, Ax = s.A0[None, :, :, None], s.Ax[None, :, :, None]
+    half_J = 0.5 * J[:, :, None] * chords
+
+    def f(t, n):
         lam = starts + t * chords
-        p = chords / lam
-        q = chords / (lam - x)
-        w = np.exp(lam)
-        c00 = a * p + e * q
-        c01 = (b * p + g * q) / w
-        c10 = (c * p + k * q) * w
-        c11 = d * p + m * q
-        z0, z1, z2, z3 = z
-        return (
-            c00 * z0 + c01 * z2,
-            c00 * z1 + c01 * z3,
-            c10 * z0 + c11 * z2,
-            c10 * z1 + c11 * z3,
-        )
+        u = _geometric(chords / lam, n)[:, None, None]
+        w = _geometric(chords / (lam - s.x), n)[:, None, None]
+        C = A0 * u + Ax * w
+        C[0] += half_J
+        return C
 
     return f
 
@@ -241,24 +223,12 @@ def _polygon(center: complex, entry: complex) -> np.ndarray:
     return np.append(center + (entry - center) * turns, entry)
 
 
-def _map_back(z, start, end) -> np.ndarray:
-    """(B, 2, 2) stack of W = e^(end J/2) Z e^(-start J/2) from the
-    entries z of Z, each of length B like the start and end points."""
-    z00, z01, z10, z11 = z
-    rot = np.exp(0.5 * (end - start))
-    mid = np.exp(0.5 * (end + start))
-    W = np.array([[rot * z00, mid * z01], [z10 / mid, z11 / rot]])
-    return np.moveaxis(W, (0, 1), (-2, -1))
-
-
 def _chord_transfers(s: FlowState, starts: np.ndarray, ends: np.ndarray, tol: float):
     """(B, 2, 2) stack of the transfers along the chords from starts to
     ends, stepped as one batch from the identity at kernel tolerance tol."""
-    one, zero = np.ones(starts.size, dtype=complex), np.zeros(starts.size, dtype=complex)
-    z = integrate_rk54(
-        _linear_field(s, starts, ends - starts), 0.0, 1.0, (one, zero, zero, one), tol
-    )
-    return _map_back(z, starts, ends)
+    y0 = np.broadcast_to(I2[:, :, None], (2, 2, starts.size))
+    Y = integrate_rk54(_linear_field(s, starts, ends - starts), 0.0, 1.0, y0, tol)
+    return np.moveaxis(Y, -1, 0)
 
 
 def _product(Ws: np.ndarray, piece: str, tol: float) -> np.ndarray:

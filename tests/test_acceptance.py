@@ -22,7 +22,7 @@ import pytest
 
 from pviso.closedform import closed_form_monodromy
 from pviso.flow import integrate, refine_from_series
-from pviso.linalg import I2, J, commutator, det2, mat_norm, tr2
+from pviso.linalg import I2, J, det2, mat_norm, tr2
 from pviso.monodata import braid_shift
 from pviso.monodromy import monodromy
 from pviso.series import Parameters, series_A_pair
@@ -179,8 +179,9 @@ def _schlesinger_residual(p, x, h=RESIDUAL_STEP):
     ser = [series_A_pair(p, x + k * h * e) for k in (-2, -1, 0, 1, 2)]
     dA0 = (-ser[4].A0 + 8 * ser[3].A0 - 8 * ser[1].A0 + ser[0].A0) / (12 * h * e)
     dAx = (-ser[4].Ax + 8 * ser[3].Ax - 8 * ser[1].Ax + ser[0].Ax) / (12 * h * e)
-    r0 = x * dA0 - commutator(ser[2].Ax, ser[2].A0)
-    rx = x * dAx - commutator(ser[2].A0, ser[2].Ax) - (x / 2.0) * commutator(J, ser[2].Ax)
+    a0, ax = ser[2].A0, ser[2].Ax
+    r0 = x * dA0 - (ax @ a0 - a0 @ ax)
+    rx = x * dAx - (a0 @ ax - ax @ a0) - (x / 2.0) * (J @ ax - ax @ J)
     return max(mat_norm(r0), mat_norm(rx))
 
 

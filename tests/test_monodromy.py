@@ -20,7 +20,7 @@ from pviso.monodromy import (
     _loop_transfer,
     _polygon,
 )
-from pviso.ode import integrate_rk54
+from pviso.ode import ORDER, integrate_rk54
 from pviso.series import Parameters, series_seed
 
 P1 = Parameters(
@@ -92,12 +92,10 @@ def _left_half_circle(radius):
 
 
 def test_linear_field_matches_matrix_formula(state40):
-    # the batched interaction-picture field the transfers step, against
-    # e^(-lambda J/2) (A0/lambda + Ax/(lambda - x)) e^(lambda J/2) @ Z
-    # times the chord, member by member: chords down the axis, off-axis
-    # ones around x and across it, and ones along the deep left arc
-    rng = np.random.default_rng(1)
-    Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    # the batched field's constant coefficient, against
+    # (A0/lambda + Ax/(lambda - x) + J/2) times the chord, member by
+    # member: chords down the axis, off-axis ones around x and across it,
+    # and ones along the deep left arc
     starts, ends = _chords(
         _line(200j, 41j),
         _polygon(40j, 41j),
@@ -107,42 +105,67 @@ def test_linear_field_matches_matrix_formula(state40):
     chords = ends - starts
     f = _linear_field(state40, starts, chords)
     for t in (0.0, 0.3, 1.0):
-        got = np.array(f(t, [np.full(starts.size, zij) for zij in Z.ravel()]))
-        assert got.shape == (4, starts.size)
+        got = f(t, 3)
+        assert got.shape == (3, 2, 2, starts.size)
         for b, (start, v) in enumerate(zip(starts, chords)):
             lam = start + t * v
-            B = state40.A0 / lam + state40.Ax / (lam - state40.x)
-            C = exp_J(-lam / 2.0) @ B @ exp_J(lam / 2.0)
-            ref = ((C @ Z) * v).ravel()
-            assert np.max(np.abs(got[:, b] - ref)) <= 1e-15 * np.max(np.abs(ref))
+            ref = (state40.A0 / lam + state40.Ax / (lam - state40.x) + 0.5 * J) * v
+            assert np.max(np.abs(got[0, :, :, b] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_interaction_picture_transfer_matches_plain_field(state40):
-    # reference: the plain field (A0/lambda + Ax/(lambda - x) + J/2) Y
-    # along the same chords, stepped by the same kernel at tol 1e-14
-    starts, ends = _chords(
-        _line(200j, 41j),
-        np.array([45j + 2.0, 43j + 1.0, 41j - 1.0]),
-        _polygon(40j, 41j),
-        _polygon(0.0, -1j),
-    )
-    chords = ends - starts
+def test_linear_field_higher_orders_match_mpmath_taylor(state40):
+    # every order the kernel takes, against mpmath's Taylor expansion of
+    # each entry of C(lambda0 + v s) v at 30 digits, on an axis chord, a
+    # 24-gon chord about x and an off-axis chord near x
+    mpmath = pytest.importorskip("mpmath")
+    circle = _polygon(40j, 41j)
+    starts = np.array([60j, circle[0], 42j + 1.0])
+    chords = np.array([-2j, circle[1] - circle[0], -1.0 - 1j])
+    n = ORDER
+    got = _linear_field(state40, starts, chords)(0.25, n)
+    x = mpmath.mpc(state40.x)
+    with mpmath.workdps(30):
+        for b, (start, v) in enumerate(zip(starts, chords)):
+            lam0, v = mpmath.mpc(start + 0.25 * chords[b]), mpmath.mpc(v)
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                a0, ax = mpmath.mpc(state40.A0[i, j]), mpmath.mpc(state40.Ax[i, j])
+                half = 0.5 * J[i, j].real
 
-    def plain(t, y):
-        lam = starts + t * chords
-        C = (
-            np.multiply.outer(chords / lam, state40.A0)
-            + np.multiply.outer(chords / (lam - state40.x), state40.Ax)
-            + np.multiply.outer(chords, 0.5 * J)
-        )
-        Y = np.moveaxis(np.reshape(y, (2, 2, -1)), -1, 0)
-        return np.moveaxis(C @ Y, 0, -1).reshape(4, -1)
+                def entry(s):
+                    lam = lam0 + v * s
+                    return (a0 / lam + ax / (lam - x) + half) * v
 
-    y0 = np.repeat(np.ravel(I2)[:, None], starts.size, axis=1)
-    ref = np.moveaxis(integrate_rk54(plain, 0.0, 1.0, y0, 1e-14).reshape(2, 2, -1), -1, 0)
+                ref = [complex(c) for c in mpmath.taylor(entry, 0, n - 1)]
+                for k, c in enumerate(ref):
+                    assert abs(got[k, i, j, b] - c) <= 1e-14 * max(1.0, abs(c)), (b, i, j, k)
+
+
+def test_chord_transfers_match_mpmath_odefun(state40):
+    # reference: mpmath's own Taylor ODE solver at 25 digits on the plain
+    # system (A0/lambda + Ax/(lambda - x) + J/2) Y along an axis chord,
+    # a 24-gon chord about 40i and an off-axis chord
+    mpmath = pytest.importorskip("mpmath")
+    circle = _polygon(40j, 41j)
+    starts = np.array([200j, circle[5], 45j + 2.0])
+    ends = np.array([198j, circle[6], 43j + 1.0])
     got = _chord_transfers(state40, starts, ends, 1e-12)
-    assert got.shape == ref.shape == (starts.size, 2, 2)
-    assert np.max(np.abs(got - ref)) <= 1e-11
+    assert got.shape == (3, 2, 2)
+    with mpmath.workdps(25):
+        A0, Ax = mpmath.matrix(state40.A0.tolist()), mpmath.matrix(state40.Ax.tolist())
+        half_J = mpmath.matrix([[0.5, 0], [0, -0.5]])
+        x = mpmath.mpc(state40.x)
+        for b, (start, end) in enumerate(zip(starts, ends)):
+            lam0, v = mpmath.mpc(start), mpmath.mpc(end - start)
+
+            def F(t, y):
+                lam = lam0 + v * t
+                Y = mpmath.matrix([[y[0], y[1]], [y[2], y[3]]])
+                dY = (A0 / lam + Ax / (lam - x) + half_J) * Y * v
+                return [dY[0, 0], dY[0, 1], dY[1, 0], dY[1, 1]]
+
+            ref = mpmath.odefun(F, 0, [1, 0, 0, 1])(1)
+            ref = np.array([complex(z) for z in ref]).reshape(2, 2)
+            assert np.max(np.abs(got[b] - ref)) <= 1e-12, b
 
 
 def test_zero_length_line_is_identity(state40):
@@ -153,25 +176,23 @@ def test_zero_length_line_is_identity(state40):
 
 def test_monodromy_feval_budget(state40, monkeypatch):
     # one pass: two loops, one batch each; a batch holds every chord of
-    # the loop's line and of its circle's 24-gon, so a field call
-    # evaluates many members
-    calls = {"transfers": 0, "nfev": 0, "members": 0}
+    # the loop's line and of its circle's 24-gon, and each Taylor step
+    # makes one field call (9 in all)
+    calls = {"transfers": 0, "nfev": 0}
 
     def counting(f, *args, **kwargs):
         calls["transfers"] += 1
 
-        def g(t, z):
+        def g(t, n):
             calls["nfev"] += 1
-            calls["members"] += np.size(z[0])
-            return f(t, z)
+            return f(t, n)
 
         return integrate_rk54(g, *args, **kwargs)
 
     monkeypatch.setattr(monodromy_module, "integrate_rk54", counting)
     monodromy(state40, 1e-12, R=200.0)
     assert calls["transfers"] == 2
-    assert calls["nfev"] <= 450
-    assert calls["members"] <= 50_000
+    assert calls["nfev"] <= 12
 
 
 def test_transfer_rejects_deep_arc(state40):
