@@ -6,11 +6,18 @@
 The flow conserves tr A0, tr Ax, det A0, det Ax and (A0 + Ax)_11, which
 are monitored over every transport.  A transport steps the flow's
 Taylor series, whose coefficients a Cauchy-product recurrence gives
-exactly (``_taylor_step``).  A series seed on the imaginary
-axis is carried to moderate |x| where monodromy is computed;
-``seed_state`` picks the seed's radius from its truncation and is the
-seeding rule of every default path.  ``ray_derivatives`` is the one
-centred-difference stencil, on states walked along a ray.
+exactly (``_taylor_step``).  ``integrate`` takes serial steps along the
+segment, each sized by the last two orders.  A series seed on the
+imaginary axis is carried to moderate |x|, where monodromy is computed,
+by multiple shooting instead (``_shooting_segment``): the series itself
+guesses the state at every node of the path, so one batched pass of the
+same recurrence over all segments at once (``_taylor_batch``), a Newton
+correction of the nodes and a second pass that certifies every node
+replace the serial chain; the serial kernel takes over wherever the
+shooting cannot certify its result.  ``seed_state`` picks the seed's
+radius from its truncation and is the seeding rule of every default
+path.  ``ray_derivatives`` is the one centred-difference stencil, on
+states walked along a ray.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -33,7 +41,15 @@ from .errors import (
 )
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import horner, radius
-from .series import EPS, Parameters, axis_radii, series_seed
+from .series import (
+    EPS,
+    Parameters,
+    _expansion,
+    _in_sector,
+    _series_pair,
+    axis_radii,
+    series_seed,
+)
 
 __all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_derivatives",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
@@ -48,6 +64,18 @@ MAX_ORDER = 30
 # flow takes 115), while a state with entries ~1e15 would step ~1e-9
 MIN_STEP_BUDGET = 1_000
 STEPS_PER_UNIT = 10
+# the shooting transport's fine passes before it falls back to the serial
+# kernel; the fewest segments it takes, below which the serial kernel is
+# faster (its ~3 ms of batched passes against ~0.27 ms per serial step,
+# measured on transports down the axis to 40i); and the most, whose
+# Jacobian pass (7 members each) would hold more than ~3 MB
+SHOOTING_ROUNDS = 3
+SHOOTING_BREAK_EVEN = 12
+SHOOTING_MAX_SEGMENTS = 256
+# order of the pass whose forward differences give the node Jacobians,
+# and their step relative to 1 + max|y|
+JACOBIAN_ORDER = 14
+_JACOBIAN_STEP = 1e-8
 
 
 @dataclass
@@ -196,16 +224,25 @@ def _taylor_step(xs: complex, u: complex, y: tuple, tol: float, span: float):
     return h, cols
 
 
+def _local_tol(tol: float, length: float) -> float:
+    """The tolerance of each step of a transport of this length,
+    tightened with length so accumulated drift stays within the budget."""
+    return tol * min(1.0, 10.0 / max(length, 1.0))
+
+
+def _six(A0, Ax) -> tuple:
+    """The six free entries (a, b, c, e, g, k) of a traceless pair."""
+    (a, b), (c, _) = A0.tolist()
+    (e, g), (k, _) = Ax.tolist()
+    return a, b, c, e, g, k
+
+
 def _transport_segment(x0, A0, Ax, x1, tol):
     length = abs(x1 - x0)
     u = (x1 - x0) / length
-    # tighten with length so accumulated drift stays within the budget
-    tol_local = tol * min(1.0, 10.0 / max(length, 1.0))
+    tol_local = _local_tol(tol, length)
     floor = 1e-13 * max(1.0, length)
-    # the traceless pair is stepped by its six free entries
-    (a, b), (c, _) = A0.tolist()
-    (e, g), (k, _) = Ax.tolist()
-    y, t = (a, b, c, e, g, k), 0.0
+    y, t = _six(A0, Ax), 0.0
     for _ in range(math.ceil(max(MIN_STEP_BUDGET, STEPS_PER_UNIT * length))):
         h, cols = _taylor_step(x0 + t * u, u, y, tol_local, length - t)
         if h >= length - t:
@@ -222,12 +259,157 @@ def _transport_segment(x0, A0, Ax, x1, tol):
     return mat(a, b, c, -a), mat(e, g, k, -e)
 
 
-def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
-    """Transport the state to ``x_target`` along the straight segment
-    from s.x, which must keep |x| > 1.  Conserved quantities are checked
-    at the end; drift beyond 100*tol (relative to scale) raises.  A
-    non-finite target raises DomainError.
+def _taylor_batch(xs: np.ndarray, u: complex, y: np.ndarray, order: int) -> np.ndarray:
+    """``_taylor_step``'s recurrence on arrays, to a fixed order: the
+    coefficients of orders 0..``order`` of the flow at each of the points
+    xs (B,) along x = xs + u t, from the entries y (6, B) there, as an
+    (order + 1, 6, B) array.
+
+    The rows carry B = b + g and C = c + k beside the six entries; Q
+    cancels in their recurrence, so they need no Cauchy sum of their own.
+    The Cauchy sums of Q = (B c - b C, 2 (s b - a B), 2 (a C - s c)),
+    with the constant s = a + e, are ``einsum``s over slices of the rows
+    (fixed summation order, no BLAS)."""
+    Z = np.empty((order + 1, 8, y.shape[1]), dtype=complex)
+    Z[0, :6] = y
+    Z[0, 6:] = y[1:3] + y[4:6]
+    diag2, w = 2.0 * (y[0] + y[3]), u / xs
+    for n in range(order):
+        z, head, tail = Z[n], Z[: n + 1], Z[n::-1]
+        aB, aC = np.einsum("jb,jmb->mb", head[:, 0], tail[:, 6:])
+        d = np.empty_like(z)
+        d[0] = np.einsum("jb,jb->b", head[:, 6], tail[:, 2])  # B c
+        d[0] -= np.einsum("jb,jb->b", head[:, 1], tail[:, 7])  # b C
+        d[1] = diag2 * z[1] - 2.0 * aB
+        d[2] = 2.0 * aC - diag2 * z[2]
+        # Q on the A0 rows, -Q on the Ax rows, none on B and C
+        np.negative(d[:3], out=d[3:6])
+        d[6:] = 0.0
+        d -= n * z
+        linear = xs * z[4:6] + (u * Z[n - 1, 4:6] if n else 0.0)
+        linear[1] *= -1.0
+        d[4:6] += linear
+        d[6:] += linear
+        np.multiply(w / (n + 1), d, out=Z[n + 1])
+    return Z[:, :6]
+
+
+def _batch_steps(Y: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The step ``_taylor_step`` allows each member of a pass of order N,
+    0.9 min(r_(N-1), r_N), at its own eps."""
+    N = len(Y) - 1
+    r = [(eps / np.abs(Y[n]).max(axis=0)) ** (1.0 / n) for n in (N - 1, N)]
+    return 0.9 * np.minimum(*r)
+
+
+def _guesses(p: Parameters, xs) -> np.ndarray:
+    """The entries (6, B) of the degree-``SEED_DEGREE`` series pair at the
+    points xs, in one batch."""
+    A0, Ax, _ = _series_pair(p, np.array([_expansion(p, x) for x in xs]).T, SEED_DEGREE)
+    return np.array([A0[0, 0], A0[0, 1], A0[1, 0], Ax[0, 0], Ax[0, 1], Ax[1, 0]])
+
+
+def _sweep(xs, u, nodes, hseg, defects) -> np.ndarray:
+    """The corrections (6, K) of the nodes by one Newton round of the
+    shooting: delta_0 = 0 and delta_(j+1) = Phi_j delta_j + e_j, with e_j
+    segment j's defect and Phi_j the Jacobian of its map, from forward
+    differences on one pass of order ``JACOBIAN_ORDER`` over every node
+    and its six kicked copies."""
+    K = nodes.shape[1]
+    kick = _JACOBIAN_STEP * (1.0 + np.abs(nodes).max(axis=0))
+    kicked = np.repeat(nodes[:, None], 7, axis=1)
+    kicked[range(6), range(1, 7)] += kick
+    Y = _taylor_batch(np.tile(xs, 7), u, kicked.reshape(6, 7 * K), JACOBIAN_ORDER)
+    ends = horner(Y, hseg).reshape(6, 7, K)
+    jacobians = ((ends[:, 1:] - ends[:, :1]) / kick).transpose(2, 0, 1)
+    delta = np.zeros_like(nodes)
+    for j in range(K - 1):
+        delta[:, j + 1] = jacobians[j] @ delta[:, j] + defects[:, j]
+    return delta
+
+
+def _shoot(p: Parameters, x0, y0: tuple, x1, tol_local: float, segments: int):
+    """The entries (6,) at x1 from the entries y0 at x0 by multiple
+    shooting over ``segments`` equal segments at first, or None where
+    ``_shooting_segment`` falls back."""
+    length = abs(x1 - x0)
+    u = (x1 - x0) / length
+    nodes = None
+    for _ in range(SHOOTING_ROUNDS):
+        if nodes is None:
+            if segments > SHOOTING_MAX_SEGMENTS:
+                return None
+            hseg = length / segments
+            xs = x0 + u * hseg * np.arange(segments)
+            if not all(map(_in_sector, xs[1:].tolist())):
+                return None
+            nodes = np.concatenate([np.array(y0)[:, None], _guesses(p, xs[1:])], axis=1)
+        Y = _taylor_batch(xs, u, nodes, MAX_ORDER)
+        if not np.isfinite(Y).all():
+            return None
+        eps = tol_local * (1.0 + np.abs(nodes).max(axis=0))
+        allowed = _batch_steps(Y, eps)
+        if not (allowed >= hseg).all():
+            segments, nodes = math.ceil(length / allowed.min()), None
+            continue
+        ends = horner(Y, hseg)
+        del Y  # the Jacobian pass below is the larger one
+        defects = ends[:, :-1] - nodes[:, 1:]
+        if (np.abs(defects).max(axis=0) <= eps[:-1]).all():
+            return ends[:, -1]
+        nodes = nodes + _sweep(xs, u, nodes, hseg, defects)
+    return None
+
+
+def _shooting_segment(p: Parameters, x0, A0, Ax, x1, tol):
+    """``_transport_segment`` by multiple shooting guided by the series
+    (Gander & Vandewalle, SIAM J. Sci. Comput. 29, 2007): the serial
+    chain of Taylor steps becomes a few batched passes over all segments.
+
+    [x0, x1] is cut into K equal segments, sized by the step rule of
+    ``_taylor_step`` at x0 and at the series' value at x1.  Every node
+    but the first (the given state) is guessed from the degree-
+    ``SEED_DEGREE`` series.  A round is one fine pass, one Taylor step of
+    order ``MAX_ORDER`` per segment, all segments at once
+    (``_taylor_batch``).  It accepts when every coefficient is finite,
+    every segment is within the step rule at its node and every node
+    defect e_j (segment j's end against node j + 1) is within segment
+    j's eps = tol_local (1 + max|y_j|), the serial kernel's bound per
+    step; the state at x1 is then the last segment's end.  A segment
+    over the step rule re-cuts [x0, x1] by the smallest step allowed and
+    guesses again; defects over eps correct the nodes by ``_sweep``.
+
+    The serial ``_transport_segment`` takes over, with the same result
+    as ``integrate``, when the serial kernel's first step at x0 puts K
+    below ``SHOOTING_BREAK_EVEN``, when K is above
+    ``SHOOTING_MAX_SEGMENTS``, when x1 or a node lies outside the series'
+    sector (``series._in_sector``), when a guess or coefficient is not
+    finite, or when ``SHOOTING_ROUNDS`` fine passes do not accept.
     """
+    length = abs(x1 - x0)
+    u = (x1 - x0) / length
+    tol_local = _local_tol(tol, length)
+    y0 = _six(A0, Ax)
+    # the serial kernel's first step; it raises on a state that is not finite
+    h, _ = _taylor_step(x0, u, y0, tol_local, length)
+    if length >= SHOOTING_BREAK_EVEN * h and _in_sector(x1):
+        try:
+            with np.errstate(all="ignore"):
+                y1 = tuple(_guesses(p, [x1])[:, 0].tolist())
+                h1, _ = _taylor_step(x1, u, y1, tol_local, length)
+                end = _shoot(p, x0, y0, x1, tol_local, math.ceil(length / min(h, h1)))
+        except (ArithmeticError, StepUnderflowError):
+            end = None
+        if end is not None:
+            a, b, c, e, g, k = end.tolist()
+            return mat(a, b, c, -a), mat(e, g, k, -e)
+    return _transport_segment(x0, A0, Ax, x1, tol)
+
+
+def _transport(s: FlowState, x_target: complex, tol: float, segment) -> FlowState:
+    """The state transported to ``x_target`` by the kernel ``segment``,
+    with ``integrate``'s checks of the target, of the path and, at the
+    end, of the conserved quantities: both transports run through it."""
     x_target = complex(x_target)
     if not cmath.isfinite(x_target):
         raise DomainError(f"transport target x = {x_target} is not finite")
@@ -235,7 +417,7 @@ def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
     if s.x != x_target:
         if _segment_distance(s.x, x_target) < 1.0:
             raise PathError(f"segment [{s.x}, {x_target}] enters the unit disk about 0")
-        A0, Ax = _transport_segment(s.x, A0, Ax, x_target, tol)
+        A0, Ax = segment(s.x, A0, Ax, x_target, tol)
     out = FlowState(x=x_target, A0=A0, Ax=Ax, params=s.params)
     before = s.invariants()
     after = out.invariants()
@@ -248,6 +430,21 @@ def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
                 f"(> {budget:.3e}) over [{s.x} -> {x_target}]"
             )
     return out
+
+
+def integrate(s: FlowState, x_target: complex, tol: float = 1e-12) -> FlowState:
+    """Transport the state to ``x_target`` along the straight segment
+    from s.x, which must keep |x| > 1, by serial Taylor steps.
+    Conserved quantities are checked at the end; drift beyond 100*tol
+    (relative to scale) raises.  A non-finite target raises DomainError.
+    """
+    return _transport(s, x_target, tol, _transport_segment)
+
+
+def _carry(s: FlowState, x_target: complex, tol: float) -> FlowState:
+    """``integrate`` by the series-guided ``_shooting_segment``: the
+    transport of every series seed."""
+    return _transport(s, x_target, tol, partial(_shooting_segment, s.params))
 
 
 def walk(s: FlowState, points: Iterable[complex], tol: float) -> Iterator[FlowState]:
@@ -292,7 +489,8 @@ def refine_from_series(
 
     The seed is the series pair with every coefficient up to total
     degree 3, as ``series_seed`` returns it, and its seed truncation
-    overestimates the seed error.  ``diagnostics`` is ignored and kept
+    overestimates the seed error.  The transport shoots from the degree-
+    ``SEED_DEGREE`` series (see ``_shooting_segment``).  ``diagnostics`` is ignored and kept
     only for callers that still pass it.
     """
     if abs(x_target) < 20.0:
@@ -300,7 +498,7 @@ def refine_from_series(
     radius = float(seed_radius)
     A0, Ax, truncation = series_seed(p, 1j * radius, 3)
     state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p)
-    return Seed(integrate(state, x_target, tol), radius, 3, truncation)
+    return Seed(_carry(state, x_target, tol), radius, 3, truncation)
 
 
 def _axis_message(p: Parameters, first: float, last: float) -> str:
@@ -332,12 +530,16 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
     admissible strip and the seed truncation is within the pair's drift
     budget 100 tol (1 + |A0| + |Ax|), which ``integrate`` applies.
     Otherwise it is evaluated at 2i|x|, 4i|x|, ... up to max(300, 2|x|),
-    where it is taken whatever its truncation.  On the axis the transport
-    costs about a third of a Taylor step, ten coefficient orders, per
-    unit of length, so each doubling that passes saves most of the way
-    from max(300, 2|x|).  For x = i r, |x| is r
-    exactly.  If that one fails the strip too, the DomainError names
-    sigma and the radii on the axis that the strip holds.  A non-finite
+    where it is taken whatever its truncation; if that one fails the
+    strip too, the DomainError names sigma and the radii on the axis
+    that the strip holds.  For x = i r, |x| is r exactly.
+
+    The state is carried to x by the shooting transport
+    (``_shooting_segment``): about 4 ms of batched passes plus 0.01 ms
+    per unit of length, where serial Taylor steps on the axis cost
+    0.09 ms per unit (about a third of a step, ten coefficient orders;
+    2-vCPU machine).  So a doubling that passes spares little time, and
+    a short transport is stepped serially.  A non-finite
     x, or x = 0, raises DomainError.
     """
     if not cmath.isfinite(x) or x == 0:
@@ -354,4 +556,4 @@ def seed_at(p: Parameters, x: complex, tol: float = 1e-12) -> Seed:
                 break
         radius = min(2.0 * radius, ceiling)
     state = FlowState(x=1j * radius, A0=A0, Ax=Ax, params=p)
-    return Seed(integrate(state, x, tol), radius, SEED_DEGREE, truncation)
+    return Seed(_carry(state, x, tol), radius, SEED_DEGREE, truncation)

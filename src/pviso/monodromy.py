@@ -47,8 +47,9 @@ therefore the whole computation.
 
 Every transfer steps Y itself by the Taylor recurrence of the linear
 system (``ode.integrate_rk54``).  The J/2 term is entire, so only the
-poles at 0 and x limit a step, and along a chord the coefficients of
-A0/lambda and Ax/(lambda - x) are two geometric series.
+poles at 0 and x limit a step; along a chord A0/lambda and
+Ax/(lambda - x) are two simple poles, whose geometric coefficients
+the kernel sums in O(1) work per order.
 
 The system is linear, so a loop's transfer is the ordered product of
 the transfers over its chords, and each of those starts from the
@@ -172,29 +173,21 @@ def normalized_frame(
 # transport
 
 
-def _geometric(r: np.ndarray, n: int) -> np.ndarray:
-    """(n, B) array of r (-r)^k, k = 0..n-1, for a batch r of length B."""
-    return np.cumprod(np.concatenate([r[None], np.broadcast_to(-r, (n - 1, r.size))]), axis=0)
-
-
 def _linear_field(s: FlowState, starts: np.ndarray, chords: np.ndarray):
-    """Taylor coefficients of the linear system's matrix along a batch of
-    chords, one member per chord on lambda = starts + t chords, t in
-    [0, 1]: dY/dt = C Y with C = (A0/lambda + Ax/(lambda - x) + J/2) v
-    and v the chord.  About lambda0 = starts + t v, with u = v/lambda0 and
-    w = v/(lambda0 - x), C_n = A0 u (-u)^n + Ax w (-w)^n, and J v/2 is
-    added to C_0.  ``f(t, n)`` returns C_0..C_(n-1) as an (n, 2, 2, B)
-    array."""
-    A0, Ax = s.A0[None, :, :, None], s.Ax[None, :, :, None]
-    half_J = 0.5 * J[:, :, None] * chords
+    """The linear system's matrix along a batch of chords, one member per
+    chord on lambda = starts + t chords, t in [0, 1]: dY/dt = C Y with
+    C = (A0/lambda + Ax/(lambda - x) + J/2) v and v the chord.  About
+    lambda0 = starts + t v, C(t + s) = J v/2 + A0 u/(1 + u s) +
+    Ax w/(1 + w s), with u = v/lambda0 and w = v/(lambda0 - x): a
+    constant and the simple poles at 0 and x.  ``f(t)`` returns them as
+    the kernel takes them: D = J v/2 as a (1, 2, 2, B) array, the
+    residues (A0, Ax) as (2, 2, 2, B) and the ratios (u, w) as (2, B)."""
+    D = (0.5 * J[:, :, None] * chords)[None]
+    M = np.broadcast_to(np.stack([s.A0, s.Ax])[..., None], (2, 2, 2, starts.size))
 
-    def f(t, n):
+    def f(t):
         lam = starts + t * chords
-        u = _geometric(chords / lam, n)[:, None, None]
-        w = _geometric(chords / (lam - s.x), n)[:, None, None]
-        C = A0 * u + Ax * w
-        C[0] += half_J
-        return C
+        return D, M, np.array([chords / lam, chords / (lam - s.x)])
 
     return f
 

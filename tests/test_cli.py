@@ -378,10 +378,12 @@ def test_non_positive_options_exit_code(tmp_path):
 
 
 def _count_flow_steps(monkeypatch) -> dict:
-    """Count the Taylor steps of every flow transport from now on, and
-    the coefficient orders they build."""
-    calls = {"steps": 0, "orders": 0}
-    step = flow._taylor_step
+    """Count the work of every flow transport from now on: the serial
+    Taylor steps and the coefficient orders they build, and the batched
+    passes of the shooting transport, its rounds (the fine passes, of
+    order MAX_ORDER) and the members times orders of all its passes."""
+    calls = {"steps": 0, "orders": 0, "passes": 0, "rounds": 0, "member_orders": 0}
+    step, batch = flow._taylor_step, flow._taylor_batch
 
     def counting(*args):
         h, coefficients = step(*args)
@@ -389,7 +391,14 @@ def _count_flow_steps(monkeypatch) -> dict:
         calls["orders"] += len(coefficients[0]) - 1
         return h, coefficients
 
+    def counting_batch(xs, u, y, order):
+        calls["passes"] += 1
+        calls["rounds"] += order == flow.MAX_ORDER
+        calls["member_orders"] += y.shape[1] * order
+        return batch(xs, u, y, order)
+
     monkeypatch.setattr(flow, "_taylor_step", counting)
+    monkeypatch.setattr(flow, "_taylor_batch", counting_batch)
     return calls
 
 
@@ -409,7 +418,7 @@ def test_zeros_feval_budget(tmp_path, monkeypatch):
         assert all(row["residual"] <= 1e-9 for row in table)
         assert all(row["root_error"] <= 1e-12 for row in table)
         assert all(0.0 < row["seed_truncation"] <= 1e-10 for row in table)
-    assert calls == {"steps": 0, "orders": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_zeros_mixed_sources(tmp_path):
@@ -442,15 +451,18 @@ def test_zeros_top_below_20i(tmp_path):
 def test_verify_feval_budget(tmp_path, monkeypatch):
     # the degree-5 series passes its drift budget at 160i, two doublings
     # above x = 40i (61,406 DOP853 field calls with a degree-3 seed at 300i
-    # and a second transport from 600i, 7,693 from 160i); the Taylor
-    # kernel carries it to 40i in 39 steps of 1,167 orders
+    # and a second transport from 600i, 7,693 from 160i; the serial Taylor
+    # kernel took 39 steps of 1,167 orders).  The shooting transport cuts
+    # the way to 40i into 43 segments, sized by two serial steps (at 160i
+    # and at the series' 40i), and accepts its second fine pass after one
+    # correction: 3 passes, 43 x 30 + 301 x 14 + 43 x 30 member orders
     calls = _count_flow_steps(monkeypatch)
     rc, doc = _run(tmp_path, ["--config", _write(tmp_path, P1_CFG), "verify"])
     assert rc == 0
     seed = doc["result"]["seed"]
     assert seed["seed_radius"] == 160.0 and seed["degree"] == 5
     assert 0.0 < seed["seed_truncation"] <= 1e-10
-    assert calls["steps"] <= 45 and calls["orders"] <= 1_250
+    assert calls == {"steps": 2, "orders": 60, "passes": 3, "rounds": 2, "member_orders": 6_794}
 
 
 def _strict_json(text):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from pviso.errors import DomainError, OriginError, PathError, PvisoValueError, StepUnderflowError
+from pviso import flow as flow_module
 from pviso.flow import (
+    JACOBIAN_ORDER,
     MAX_ORDER,
+    SEED_DEGREE,
     FlowState,
     _taylor_step,
     integrate,
@@ -99,6 +102,26 @@ def test_taylor_recurrence():
         assert all(a + e == 0.0 for a, e in zip(cols[0][1:], cols[3][1:]))
 
 
+def test_taylor_batch_matches_taylor_step():
+    # the batched recurrence, one member per (point, direction), against
+    # the scalar one at every order: 5.7e-15 of each order's largest
+    # coefficient at most (the sums run in another order)
+    points = [(200j, -1j), (60j, (5.0 - 30j) / abs(5.0 - 30j)), (45j - 2.0, 1j)]
+    ys = []
+    for xs, _ in points:
+        ab = series_A_pair(P1, xs)
+        ys.append([*ab.A0.ravel()[:3].tolist(), *ab.Ax.ravel()[:3].tolist()])
+    xs, u = np.array([x for x, _ in points]), np.array([d for _, d in points])
+    got = flow_module._taylor_batch(xs, u, np.array(ys).T, MAX_ORDER)
+    assert got.shape == (MAX_ORDER + 1, 6, 3)
+    for b, ((x, d), y) in enumerate(zip(points, ys)):
+        _, cols = _taylor_step(x, d, tuple(y), 1e-12, 1e6)
+        ref = np.array(cols).T
+        scale = np.abs(ref).max(axis=1)
+        assert (np.abs(got[:, :, b] - ref).max(axis=1) <= 1e-14 * scale).all(), b
+        assert (got[1:, 0, b] + got[1:, 3, b] == 0.0).all()
+
+
 def test_taylor_step_reaches_span():
     # orders are added up to the first k >= 2 whose step
     # h_k = 0.9 min(r_{k-1}, r_k), r_n = (eps / |y_n|)^(1/n), reaches the
@@ -171,7 +194,7 @@ def test_flow_matches_series_within_truncation():
 def test_transport_matches_degree_20_series():
     # the degree-20 series is an oracle far sharper than the transport:
     # its truncation at 40i is 3.9e-17.  Carried from 400i to 40i, the
-    # degree-20 seed lands 2.4e-14 from it (DOP853 landed 2.3e-12)
+    # degree-20 seed lands 2.9e-14 from it (DOP853 landed 2.3e-12)
     A0, Ax, _ = series_seed(P1, 400j, 20)
     out = integrate(FlowState(x=400j, A0=A0, Ax=Ax, params=P1), 40j, 1e-12)
     A0, Ax, truncation = series_seed(P1, 40j, 20)
@@ -318,3 +341,137 @@ def test_seed_at_rejects_non_finite_x(deadline):
     for x in (complex("nan"), complex("nan+nanj"), complex(0, math.inf), 0j):
         with pytest.raises(DomainError, match="not finite"):
             seed_at(P1, x)
+
+
+# ---------------------------------------------------------------------------
+# the series-guided shooting transport
+
+
+def _draws():
+    """P1 and three draws about it: every parameter's real and imaginary
+    part scaled by 1 + U(-0.02, 0.02)."""
+    rng = np.random.RandomState(35)
+    keys = ("theta0", "thetax", "thetainf", "c0", "cx", "sigma")
+    out = [P1]
+    for _ in range(3):
+        fields = {}
+        for key in keys:
+            z = complex(getattr(P1, key))
+            re, im = 1.0 + rng.uniform(-0.02, 0.02, size=2)
+            fields[key] = complex(z.real * re, z.imag * im)
+        out.append(P1.replace(**fields))
+    return out
+
+
+def _record_passes(monkeypatch) -> list:
+    """Record every batched pass as (xs, u, y, order, coefficients)."""
+    passes = []
+    batch = flow_module._taylor_batch
+
+    def recording(xs, u, y, order):
+        out = batch(xs, u, y, order)
+        passes.append((xs, u, y, order, out))
+        return out
+
+    monkeypatch.setattr(flow_module, "_taylor_batch", recording)
+    return passes
+
+
+def _gap(a, b) -> float:
+    return max(mat_norm(a.A0 - b.A0), mat_norm(a.Ax - b.Ax))
+
+
+def test_shooting_matches_serial_transport(monkeypatch):
+    # criterion 1's flow, 400i -> 40i from the degree-3 seed, for P1 and
+    # three draws about it, and seed_state's flow from 90.1i to -2 + 45i:
+    # the shooting transport (134-135 and 19 segments, one correction
+    # each) lands within 1e-13 (1 + |A0| + |Ax|) of the serial one
+    # (2.3e-14 at most)
+    passes = _record_passes(monkeypatch)
+    cases = [(FlowState(400j, *series_seed(p, 400j, 3)[:2], p), 40j) for p in _draws()]
+    seed = seed_state(P1, -2.0 + 45j)
+    A0, Ax, _ = series_seed(P1, 1j * seed.seed_radius, SEED_DEGREE)
+    cases.append((FlowState(1j * seed.seed_radius, A0, Ax, P1), -2.0 + 45j))
+    for s, x in cases:
+        del passes[:]
+        shot = flow_module._carry(s, x, 1e-12)
+        assert [order for *_, order, _ in passes] == [MAX_ORDER, JACOBIAN_ORDER, MAX_ORDER]
+        serial = integrate(s, x, 1e-12)
+        assert _gap(shot, serial) <= 1e-13 * (1.0 + mat_norm(serial.A0) + mat_norm(serial.Ax))
+    assert _gap(seed.state, shot) == 0.0
+
+
+def test_shooting_error_against_degree_20_series():
+    # from the degree-20 seed at 400i (truncation 3.9e-17 at 40i) the gap
+    # to the degree-20 series at 40i is each transport's own error: on P1
+    # 4.1e-15 shot against 2.9e-14 serial, and at most 8.2e-15 against at
+    # most 2.9e-14 over the draws
+    errors = []
+    for p in _draws():
+        s = FlowState(400j, *series_seed(p, 400j, 20)[:2], p)
+        A0, Ax, truncation = series_seed(p, 40j, 20)
+        assert truncation <= 1e-16
+        reference = FlowState(40j, A0, Ax, p)
+        shot, serial = flow_module._carry(s, 40j, 1e-12), integrate(s, 40j, 1e-12)
+        errors.append((_gap(shot, reference), _gap(serial, reference)))
+    assert errors[0][0] <= 2.0 * errors[0][1]
+    assert max(e for e, _ in errors) <= 2.0 * max(e for _, e in errors)
+
+
+def test_shooting_accepts_only_within_eps(monkeypatch):
+    # the certificate of the accepted (last) fine pass, recomputed from
+    # its own coefficients: every coefficient finite, every segment within
+    # the step rule 0.9 min(r_29, r_30) at its node, and every node defect
+    # within its segment's eps = tol_local (1 + max|y_j|)
+    passes = _record_passes(monkeypatch)
+    s = FlowState(400j, *series_seed(P1, 400j, 3)[:2], P1)
+    out = flow_module._carry(s, 40j, 1e-12)
+    xs, u, nodes, order, Y = passes[-1]
+    assert order == MAX_ORDER and np.isfinite(Y).all()
+    hseg = abs(xs[1] - xs[0])
+    assert u == -1j and xs[0] == 400j and abs(xs[-1] + u * hseg - 40j) <= 1e-12
+    eps = 1e-12 * (10.0 / 360.0) * (1.0 + np.abs(nodes).max(axis=0))
+    sizes = np.abs(Y).max(axis=1)
+    for j in range(nodes.shape[1]):
+        r = [(eps[j] / sizes[n, j]) ** (1.0 / n) for n in (order - 1, order)]
+        assert hseg <= 0.9 * min(r)
+    ends = sum(Y[n] * hseg**n for n in range(order + 1))
+    defects = np.abs(ends[:, :-1] - nodes[:, 1:]).max(axis=0)
+    assert (defects <= eps[:-1]).all()
+    assert np.abs(ends[:, -1] - np.array(_entries(out))).max() <= 1e-14
+
+
+def _entries(s):
+    return [s.A0[0, 0], s.A0[0, 1], s.A0[1, 0], s.Ax[0, 0], s.Ax[0, 1], s.Ax[1, 0]]
+
+
+def test_shooting_falls_back_to_serial_bit_for_bit(monkeypatch):
+    # NaN guesses from the series: the serial kernel takes the whole
+    # transport, and its result is integrate's, bit for bit
+    import pviso.series as series_module
+
+    def nan_pair(p, expansion, degree):
+        A0, Ax, truncation = series_module._series_pair(p, expansion, degree)
+        return A0 * np.nan, Ax, truncation
+
+    monkeypatch.setattr(flow_module, "_series_pair", nan_pair)
+    passes = _record_passes(monkeypatch)
+    s = FlowState(400j, *series_seed(P1, 400j, 3)[:2], P1)
+    shot, serial = flow_module._carry(s, 40j, 1e-12), integrate(s, 40j, 1e-12)
+    assert passes == []
+    assert shot.A0.tobytes() == serial.A0.tobytes() and shot.Ax.tobytes() == serial.Ax.tobytes()
+
+
+def test_shooting_raises_step_underflow_as_serial_kernel(deadline):
+    # a NaN seed raises from the first serial step; entries 1e15 allow
+    # steps of ~1e-9, so K ~ 1e11 is far above SHOOTING_MAX_SEGMENTS and
+    # the serial kernel spends its step budget
+    deadline(10)
+    half = P1.thetainf / 2.0
+    nan = complex("nan")
+    for s in (
+        FlowState(x=200j, A0=mat(nan, 0, 0, nan), Ax=mat(-half, 0, 0, half), params=P1),
+        FlowState(x=200j, A0=mat(0, 1e15, 1e15, 0), Ax=mat(-half, 1e15, -1e15, half), params=P1),
+    ):
+        with pytest.raises(StepUnderflowError):
+            flow_module._carry(s, 60j, 1e-12)

@@ -11,22 +11,30 @@ from pviso.ode import ORDER, STEP_BUDGET, integrate_rk54
 def _counted(f):
     calls = []
 
-    def g(t, n):
+    def g(t):
         calls.append(t)
-        return f(t, n)
+        return f(t)
 
     return g, calls
 
 
+def _regular(D):
+    """A field's (D, M, r) with the Taylor coefficients D of a regular
+    matrix and no poles."""
+    D = np.asarray(D, dtype=complex)
+    return D, np.zeros((0, *D.shape[1:]), dtype=complex), np.zeros((0, D.shape[-1]))
+
+
+def _pole(residue, ratio):
+    """A field's (D, M, r) for the one simple pole residue r / (1 + r s)
+    of a 1 x 1 system, r = ``ratio``."""
+    D = np.zeros((1, 1, 1, 1), dtype=complex)
+    return D, np.full((1, 1, 1, 1), residue), np.full((1, 1), ratio)
+
+
 def _constant(M):
     """Field of the constant system y' = M y, M an (m, m, B) stack."""
-
-    def f(t, n):
-        C = np.zeros((n, *M.shape), dtype=complex)
-        C[0] = M
-        return C
-
-    return f
+    return lambda t: _regular(M[None])
 
 
 def _stack(*matrices):
@@ -55,10 +63,8 @@ def test_constant_linear_system_matches_matrix_exponential():
 
 def test_time_dependent_scalar_matches_gaussian():
     # y' = 2t y: C(t + s) = 2t + 2s, so y(2) = e^4
-    def f(t, n):
-        C = np.zeros((n, 1, 1, 1), dtype=complex)
-        C[0], C[1] = 2.0 * t, 2.0
-        return C
+    def f(t):
+        return _regular([[[[2.0 * t]]], [[[2.0]]]])
 
     out = integrate_rk54(f, 0.0, 2.0, _stack([[1.0]]), 1e-12)
     assert abs(out[0, 0, 0] / math.exp(4.0) - 1.0) <= 1e-11
@@ -73,22 +79,23 @@ def test_zero_span_returns_input():
 
 def test_blow_up_raises_step_underflow():
     # y' = y / (1 - t), y(0) = 1 leaves every bound at t = 1: the steps
-    # shrink with the distance to the pole until they underflow
-    def f(t, n):
-        return (1.0 - t) ** -np.arange(1.0, n + 1.0).reshape(n, 1, 1, 1) + 0j
+    # shrink with the distance to the pole until they underflow;
+    # 1 / (1 - t - s) is the pole -r / (1 + r s) with r = 1 / (t - 1)
+    def f(t):
+        return _pole(-1.0, 1.0 / (t - 1.0))
 
     with pytest.raises(StepUnderflowError, match="underflow"):
         integrate_rk54(f, 0.0, 2.0, _stack([[1.0]]), 1e-10)
 
 
 def test_step_budget_raises_on_tiny_radius():
-    # coefficients i rho^-(n+1) at every t, those of i / (rho - s): a
-    # radius of 1e-4 everywhere allows steps of ~2e-5, far above the
-    # floor, and the unit span would take ~4e4 of them
+    # i / (rho - s) at every t, the pole -i r / (1 + r s) with
+    # r = -1 / rho: a radius of 1e-4 everywhere allows steps of ~2e-5,
+    # far above the floor, and the unit span would take ~4e4 of them
     rho = 1e-4
 
-    def f(t, n):
-        return 1j * rho ** -np.arange(1.0, n + 1.0).reshape(n, 1, 1, 1)
+    def f(t):
+        return _pole(-1j, -1.0 / rho)
 
     f, calls = _counted(f)
     with pytest.raises(StepUnderflowError, match="budget"):
@@ -104,12 +111,13 @@ def test_nan_member_raises_step_underflow():
         integrate_rk54(f, 0.0, 1.0, _stack([[1.0]], [[1.0]]), 1e-12)
 
 
-def _cos_field(t, n):
-    # C(t) = [[i, 0.1], [0, -cos t]]; the n-th derivative of cos t is cos(t + n pi/2)
-    C = np.zeros((n, 2, 2, 1), dtype=complex)
+def _cos_field(t):
+    # C(t) = [[i, 0.1], [0, -cos t]] by its first ORDER Taylor
+    # coefficients; the n-th derivative of cos t is cos(t + n pi/2)
+    C = np.zeros((ORDER, 2, 2, 1), dtype=complex)
     C[0, 0, 0], C[0, 0, 1] = 1j, 0.1
-    C[:, 1, 1, 0] = [-math.cos(t + k * math.pi / 2.0) / math.factorial(k) for k in range(n)]
-    return C
+    C[:, 1, 1, 0] = [-math.cos(t + k * math.pi / 2.0) / math.factorial(k) for k in range(ORDER)]
+    return _regular(C)
 
 
 def test_repeated_runs_are_identical():
@@ -160,3 +168,31 @@ def test_batch_steps_with_its_hardest_member():
     assert len(calls_both) >= len(calls_fast)
     assert abs(out[0, 0, 0] - cmath.exp(0.5j)) <= 1e-11
     assert abs(out[0, 0, 1] - cmath.exp(40j)) <= 1e-10
+
+
+def test_pole_field_matches_its_taylor_coefficients():
+    # C(t + s) = D + M1 r1/(1 + r1 s) + M2 r2/(1 + r2 s) with poles at
+    # t = -1.5 and t = 2.5 + i, stepped by the running pole sums and, as a
+    # regular field, by its first ORDER Taylor coefficients
+    # D + M1 r1 (-r1)^n + M2 r2 (-r2)^n through the full Cauchy sums
+    D = _stack([[0.5j, 0.1], [-0.2, -0.5j]])
+    M = np.stack([_stack([[0.3, 0.2j], [0.1, -0.3]]), _stack([[-0.1j, 0.4], [0.0, 0.1j]])])
+    poles = np.array([-1.5, 2.5 + 1j])
+
+    def ratios(t):
+        return (1.0 / (t - poles))[:, None]
+
+    def pole_field(t):
+        return D[None], M, ratios(t)
+
+    def regular_field(t):
+        r = ratios(t)[:, None, None]
+        n = np.arange(ORDER).reshape(-1, 1, 1, 1, 1)
+        C = (M * r * (-r) ** n).sum(axis=1)
+        C[0] += D
+        return _regular(C)
+
+    y0 = _stack(np.eye(2))
+    a = integrate_rk54(pole_field, 0.0, 1.5, y0, 1e-12)
+    b = integrate_rk54(regular_field, 0.0, 1.5, y0, 1e-12)
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
