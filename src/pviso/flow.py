@@ -41,15 +41,7 @@ from .errors import (
 )
 from .linalg import det2, mat, mat_norm, tr2
 from .ode import horner, radius
-from .series import (
-    EPS,
-    Parameters,
-    _expansion,
-    _in_sector,
-    _series_pair,
-    axis_radii,
-    series_seed,
-)
+from .series import EPS, Parameters, _in_sector, _series_pair, axis_radii, series_seed
 
 __all__ = ["FlowState", "Seed", "rhs", "integrate", "walk", "ray_derivatives",
            "refine_from_series", "seed_state", "seed_at", "SEED_DEGREE"]
@@ -302,10 +294,10 @@ def _batch_steps(Y: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return 0.9 * np.minimum(*r)
 
 
-def _guesses(p: Parameters, xs) -> np.ndarray:
+def _guesses(p: Parameters, xs: np.ndarray) -> np.ndarray:
     """The entries (6, B) of the degree-``SEED_DEGREE`` series pair at the
-    points xs, in one batch."""
-    A0, Ax, _ = _series_pair(p, np.array([_expansion(p, x) for x in xs]).T, SEED_DEGREE)
+    array of points xs, in one batch."""
+    A0, Ax, _ = _series_pair(p, xs, SEED_DEGREE)
     return np.array([A0[0, 0], A0[0, 1], A0[1, 0], Ax[0, 0], Ax[0, 1], Ax[1, 0]])
 
 
@@ -341,7 +333,7 @@ def _shoot(p: Parameters, x0, y0: tuple, x1, tol_local: float, segments: int):
                 return None
             hseg = length / segments
             xs = x0 + u * hseg * np.arange(segments)
-            if not all(map(_in_sector, xs[1:].tolist())):
+            if not _in_sector(xs[1:]).all():
                 return None
             nodes = np.concatenate([np.array(y0)[:, None], _guesses(p, xs[1:])], axis=1)
         Y = _taylor_batch(xs, u, nodes, MAX_ORDER)
@@ -395,7 +387,7 @@ def _shooting_segment(p: Parameters, x0, A0, Ax, x1, tol):
     if length >= SHOOTING_BREAK_EVEN * h and _in_sector(x1):
         try:
             with np.errstate(all="ignore"):
-                y1 = tuple(_guesses(p, [x1])[:, 0].tolist())
+                y1 = tuple(_guesses(p, np.array([x1]))[:, 0].tolist())
                 h1, _ = _taylor_step(x1, u, y1, tol_local, length)
                 end = _shoot(p, x0, y0, x1, tol_local, math.ceil(length / min(h, h1)))
         except (ArithmeticError, StepUnderflowError):

@@ -8,7 +8,7 @@ arg lambda in (-pi/2, 3pi/2).
 
 monodromy() continues around two loops, each a line down the imaginary
 axis, once around a unit circle (positively) and back up the same line
-(R >= 4(|x|+10)):
+(4(|x|+10) <= R <= MAX_RADIUS = 1e5):
   around x:  the line from iR to x + i, then the circle about x from x + i;
   around 0:  the line from -iR to -i, based at -iR on the continued branch
              (arg = 3pi/2), then the circle about 0 from -i.
@@ -113,34 +113,28 @@ def frame_coefficients(s: FlowState, orders: int):
     the system; the diagonal of G_k is fixed by the diagonal consistency
     of the next order (it starts at -x (Ax)_11 J for k = 1 and is
     essential for the frame to track the true solution at fixed R/x).
+    Both hold the sum over j >= 2 of x^(j-1) Ax G_(k-j), which is Ax T_k
+    with the running sum T_k = sum_(j=2..k) x^(j-1) G_(k-j): T_1 = 0 and
+    T_(k+1) = x (G_(k-1) + T_k), so each order costs O(1) products.
     """
     ti = s.params.thetainf
-    x = s.x
-    b1 = s.A0 + s.Ax
+    x, Ax = s.x, s.Ax
+    b1 = s.A0 + Ax
     defect = abs(b1[0, 0] + ti / 2.0)
     if defect > 1e-8 * (1.0 + mat_norm(b1)):
         raise ConsistencyError(
             "frame expansion does not close: (A0+Ax)_11 + thetainf/2 = "
             f"{b1[0, 0] + ti / 2.0}"
         )
-
-    def B(j: int) -> np.ndarray:
-        return b1 if j == 1 else x ** (j - 1) * s.Ax
-
-    G = [np.array(I2)]
+    G, T = [np.array(I2)], np.zeros((2, 2), dtype=complex)
     for k in range(1, orders + 1):
-        rhs = (k - 1) * G[k - 1] + (ti / 2.0) * (G[k - 1] @ J)
-        for j in range(1, k + 1):
-            rhs = rhs + B(j) @ G[k - j]
+        g = G[k - 1]
+        rhs = (k - 1) * g + (ti / 2.0) * (g @ J) + b1 @ g + Ax @ T
+        T = x * (g + T)
+        diag = Ax @ T
         gk = mat(0.0, -rhs[0, 1], rhs[1, 0], 0.0)
-        acc11 = b1[0, 1] * gk[1, 0]
-        acc22 = b1[1, 0] * gk[0, 1]
-        for j in range(2, k + 2):
-            prod = B(j) @ G[k + 1 - j]
-            acc11 += prod[0, 0]
-            acc22 += prod[1, 1]
-        gk[0, 0] = -acc11 / k
-        gk[1, 1] = -acc22 / k
+        gk[0, 0] = -(b1[0, 1] * gk[1, 0] + diag[0, 0]) / k
+        gk[1, 1] = -(b1[1, 0] * gk[0, 1] + diag[1, 1]) / k
         G.append(gk)
     return G[1:]
 
@@ -196,6 +190,10 @@ def _linear_field(s: FlowState, starts: np.ndarray, chords: np.ndarray):
 # polygon that stands for its circle
 SUB_SEGMENT = 2.0
 CIRCLE_SIDES = 24
+# largest radius monodromy() accepts: a loop's line holds R / SUB_SEGMENT
+# chords stepped as one batch, so time and memory grow with R (3.3 s and
+# 140 MB at 1e5 on a 2-core Xeon, 6 GiB at 1e7)
+MAX_RADIUS = 1e5
 
 # past this norm the determinant check's bound 100*tol*|W|^2 means
 # nothing; the products monodromy() forms stay below 1.5
@@ -268,7 +266,8 @@ def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> Mo
     with the frames at radius R.
 
     R defaults to 4(|x|+10).  A state with |x| <= 1, where the unit
-    circles about 0 and x overlap, raises PathError.
+    circles about 0 and x overlap, raises PathError, and R above
+    MAX_RADIUS raises RadiusError before any chord is built.
 
     Diagnostics: ``consistency_defect`` is the diagonal defect of
     Nx S2 N0, and ``frame_truncation`` the first omitted frame term
@@ -278,6 +277,8 @@ def monodromy(s: FlowState, tol: float = 1e-12, *, R: float | None = None) -> Mo
     if abs(x) <= 1.0:
         raise PathError(f"the unit circles about 0 and x = {x} overlap")
     R = float(R) if R is not None else 4.0 * (abs(x) + 10.0)
+    if not R <= MAX_RADIUS:
+        raise RadiusError(f"normalization radius {R} > {MAX_RADIUS:g}, the largest accepted")
     half = math.pi / 2.0
     *frame, omitted = frame_coefficients(s, FRAME_ORDERS + 1)
 

@@ -23,15 +23,18 @@ The order-by-order solver is generic in the total degree D: the plan
 of the solve is built from the term list once per degree, on first use,
 and each parameter set steps through it; the basis of (D+1)^2 terms
 E^n x^-k is gathered, by an index cached per degree, from a table of
-the powers of E+, E- and 1/x, at one point or at an array of points.
-``series_seed`` evaluates the pair at any degree together with its seed
-truncation, the largest entry of the degree-D terms' contribution to A0
-and Ax; ``series_A_pair`` is its degree 3.  Both evaluate the pair only
-in the admissible strip, where |E+| and |E-| stay below ``EPS``.  The
-zero/pole lattice roots lie beyond it, where the double series still
-converges; ``_series_pair`` evaluates the pair there at every Newton
-iterate of a lattice at once, for ``transcendents.refine_lattice``,
-which trusts it only as far as the truncation it returns.
+the powers of E+, E- and 1/x.  ``_expansion`` (E+, E-, 1/x and the
+scale), ``_in_sector`` and ``_series_pair`` take one point or an array
+of points, and no other module builds an expansion.  ``_series_pair``
+evaluates the pair at any degree with its seed truncation, the largest
+entry of the degree-D terms' contribution to A0 and Ax; ``series_seed``
+is its form at one point, and ``series_A_pair`` its degree 3.  Both
+evaluate only in the admissible strip, where |E+| and |E-| stay below
+``EPS``.  The zero/pole lattice roots lie beyond it, in the sector,
+where the double series still converges; ``_series_pair`` evaluates
+the pair there at every Newton iterate of a lattice at once, for
+``transcendents.refine_lattice``, which trusts it only as far as the
+truncation it returns, and at the shooting's nodes for ``flow``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ZeroConstantError
-from .linalg import branched_power, mat
+from .linalg import mat
 
 __all__ = [
     "Parameters",
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 EPS = 0.1  # bound on |E+| and |E-| in the admissible strip
+_SIN_EDGE = math.sin(0.1)  # the sector keeps 0.1 off the real axis
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,13 @@ def gamma_quad(p: Parameters) -> GammaQuad:
     )
 
 
-def _in_sector(x: complex) -> bool:
+def _in_sector(x):
     """The parts of ``domain_check`` that do not depend on the
-    parameters: |arg x - pi/2| < pi/2 - 0.1 and |x| > 20."""
-    return abs(cmath.phase(x) - math.pi / 2.0) < math.pi / 2.0 - 0.1 and abs(x) > 20.0
+    parameters, |arg x - pi/2| < pi/2 - 0.1 and |x| > 20, at one point
+    or elementwise over an array of points.  With arg x principal, the
+    first reads Im x > |x| sin 0.1."""
+    r = abs(x)
+    return (r > 20.0) & (x.imag > r * _SIN_EDGE)
 
 
 def domain_check(p: Parameters, x: complex) -> bool:
@@ -365,16 +372,14 @@ def _basis(ep, em, ix, degree: int) -> np.ndarray:
     return table[e_rows] * table[x_rows]
 
 
-def _expansion(p: Parameters, x: complex) -> tuple:
+def _expansion(p: Parameters, x) -> tuple:
     """(E+, E-, 1/x, e^x, x^((sigma+thetainf)/2), x^((sigma-thetainf)/2))
-    at x, on the principal branch of log x; the last three are the scale
-    ``_unnormalize`` takes."""
-    lx = complex(math.log(abs(x)), cmath.phase(x))
-    ex = cmath.exp(x)
-    x_s1 = branched_power(lx, p.sigma - 1.0)  # x^(sigma-1)
-    w = branched_power(lx, (p.sigma + p.thetainf) / 2.0)  # x^((sigma+thetainf)/2)
-    v = branched_power(lx, (p.sigma - p.thetainf) / 2.0)  # x^((sigma-thetainf)/2)
-    # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
+    at one point or at each point of an array, on the principal branch
+    of log x (``**`` takes it on both); the last three are the scale
+    ``_unnormalize`` takes.  One point calls no numpy function."""
+    ex = (np.exp if isinstance(x, np.ndarray) else cmath.exp)(x)
+    x_s1 = x ** (p.sigma - 1.0)  # E+ = e^x x^(sigma-1), E- = e^-x x^(-sigma-1)
+    w, v = x ** ((p.sigma + p.thetainf) / 2.0), x ** ((p.sigma - p.thetainf) / 2.0)
     return ex * x_s1, 1.0 / ex / (x * x * x_s1), 1.0 / x, ex, w, v
 
 
@@ -398,12 +403,13 @@ def _pair(p: Parameters, scale, sums) -> tuple[np.ndarray, np.ndarray]:
     return mat(f0, fplus, fminus, -f0), mat(g0, gplus, gminus, -g0)
 
 
-def _series_pair(p: Parameters, expansion, degree: int):
+def _series_pair(p: Parameters, x, degree: int):
     """``_pair`` from every term of total degree <= ``degree`` at the
-    point whose ``_expansion`` is ``expansion``, or at N points at once
-    from a (6, N) array of theirs, and the seed truncation: the largest
-    entry of the degree-``degree`` terms' contribution to A0 and Ax."""
-    ep, em, ix, *scale = expansion
+    point x, or at every point of an array x at once, and the seed
+    truncation: the largest entry of the degree-``degree`` terms'
+    contribution to A0 and Ax.  It checks no strip or sector: an
+    expansion that overflows gives entries that are not finite."""
+    ep, em, ix, *scale = _expansion(p, x)
     coefs, basis = _l2_coefficients(p, degree), _basis(ep, em, ix, degree)
     top = degree * degree  # the terms of total degree `degree` come last
     tail_dl, *tail = coefs[:, top:] @ basis[top:]
@@ -433,5 +439,5 @@ def series_seed(p: Parameters, x: complex, degree: int) -> tuple[np.ndarray, np.
     contribution to A0 and Ax.  That last order overestimates the error
     of the sum (at 250i and degree 5, by 30-50x against a degree-12
     series).  Raises DomainError outside the admissible strip."""
-    A0, Ax, truncation = _series_pair(p, _expansion(p, _in_strip(p, x)), degree)
+    A0, Ax, truncation = _series_pair(p, _in_strip(p, x), degree)
     return A0, Ax, float(truncation)

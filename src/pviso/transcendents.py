@@ -34,7 +34,7 @@ from .errors import (
     StencilError,
 )
 from .flow import FlowState, Seed, _drift_budget, integrate, ray_derivatives, rhs, seed_at
-from .series import Parameters, _expansion, _in_sector, _series_pair, smallness_score
+from .series import Parameters, _in_sector, _series_pair, smallness_score
 
 __all__ = [
     "PVPoint",
@@ -271,19 +271,11 @@ def _series_roots(
     hits = [None] * len(x)
     live = np.arange(len(x))
     for _ in range(MAX_NEWTON):
-        rows, expansions = [], []
-        for i, xi in zip(live.tolist(), x[live].tolist()):
-            if _in_sector(xi):
-                try:
-                    expansions.append(_expansion(p, xi))
-                except ArithmeticError:
-                    continue
-                rows.append(i)
-        if not rows:
+        rows = live[_in_sector(x[live])]
+        if not rows.size:
             break
-        rows = np.array(rows)
         with np.errstate(all="ignore"):
-            A0, Ax, truncation = _series_pair(p, np.array(expansions).T, ROOT_SERIES_DEGREE)
+            A0, Ax, truncation = _series_pair(p, x[rows], ROOT_SERIES_DEGREE)
             f, step = _newton(_Iterates(x[rows], A0, Ax, p), kind)
             entries = [*A0.reshape(4, -1), *Ax.reshape(4, -1), f, step, truncation]
             finite = np.isfinite(entries).all(axis=0)

@@ -239,14 +239,17 @@ def test_exit_code_table(tmp_path, capsys, deadline):
     # a non-finite x or x_points entry is a config error naming the option;
     # the series seeds no point with |x| < 20, and the segment from the
     # seed at 160i to -40i enters the unit disk (value errors: exit 2);
-    # x = 1e300i overflows (exit 3).  Each case must return within 10 s,
-    # so that a seeding loop that never ends fails here instead of hanging
+    # x = 1e300i overflows (exit 3); a monodromy radius past MAX_RADIUS is
+    # refused before any chord is built (exit 2), where its loops would
+    # ask for petabytes.  Each case must return within 10 s, so that a
+    # seeding loop that never ends fails here instead of hanging
     cfg = _write(tmp_path, P1_CFG)
     points = (("nan", 2), ("nan+nanj", 2), ("0", 2), ("19j", 2), ("-40j", 2), ("1e300j", 3))
     cases = [
         *((command, [f"--x={x}"], rc) for command in ("monodromy", "verify", "tau") for x, rc in points),
         *((command, ["--x-points=40j;nan"], 2) for command in ("flow", "evaluate")),
         ("evaluate", ["--x-points=5j"], 2),
+        ("monodromy", ["--radius=1e15"], 2),
         *((command, ["--m-from=1", "--m-to=2"], 0) for command in ("zeros", "poles")),
     ]
     for command, options, expected in cases:

@@ -450,8 +450,8 @@ def test_shooting_falls_back_to_serial_bit_for_bit(monkeypatch):
     # transport, and its result is integrate's, bit for bit
     import pviso.series as series_module
 
-    def nan_pair(p, expansion, degree):
-        A0, Ax, truncation = series_module._series_pair(p, expansion, degree)
+    def nan_pair(p, xs, degree):
+        A0, Ax, truncation = series_module._series_pair(p, xs, degree)
         return A0 * np.nan, Ax, truncation
 
     monkeypatch.setattr(flow_module, "_series_pair", nan_pair)

@@ -55,6 +55,46 @@ def test_normalized_frame_radius_error():
         normalized_frame(s, 100.0, frame_coefficients(s, 1))
 
 
+P8Z = Parameters(theta0=0.45, thetax=0.05, thetainf=0.1, c0=1.0, cx=0.05, sigma=0.1)
+
+
+def _frame_by_double_sum(s, orders):
+    # the reference: every order re-sums B(j) G_(k-j) over j, with B(1) =
+    # A0 + Ax and B(j) = x^(j-1) Ax, for the off-diagonal and the diagonal
+    ti, x = s.params.thetainf, s.x
+    b1 = s.A0 + s.Ax
+
+    def B(j):
+        return b1 if j == 1 else x ** (j - 1) * s.Ax
+
+    G = [np.array(I2)]
+    for k in range(1, orders + 1):
+        rhs = (k - 1) * G[k - 1] + (ti / 2.0) * (G[k - 1] @ J)
+        for j in range(1, k + 1):
+            rhs = rhs + B(j) @ G[k - j]
+        gk = np.array([[0.0, -rhs[0, 1]], [rhs[1, 0], 0.0]], dtype=complex)
+        acc11 = b1[0, 1] * gk[1, 0]
+        acc22 = b1[1, 0] * gk[0, 1]
+        for j in range(2, k + 2):
+            prod = B(j) @ G[k + 1 - j]
+            acc11 += prod[0, 0]
+            acc22 += prod[1, 1]
+        gk[0, 0], gk[1, 1] = -acc11 / k, -acc22 / k
+        G.append(gk)
+    return G[1:]
+
+
+@pytest.mark.parametrize("p", [P1, P8Z])
+def test_frame_running_sum_matches_double_sum(p):
+    # the running sum T_k reorders the double sum's additions only
+    s = seed_state(p, 40j).state
+    orders = monodromy_module.FRAME_ORDERS + 1
+    fast, slow = frame_coefficients(s, orders), _frame_by_double_sum(s, orders)
+    assert len(fast) == orders == 17
+    for gk, ref in zip(fast, slow):
+        assert mat_norm(gk - ref) <= 1e-14 * mat_norm(ref)
+
+
 def test_normalized_frame_residual_decays(state40):
     # ODE residual of the frame at the base point is O(R^-2): the defect
     # must fall at least ~4x when R doubles

@@ -8,6 +8,7 @@ from pviso.errors import DomainError, ZeroConstantError
 from pviso.linalg import det2, mat_norm
 from pviso.series import Parameters, domain_check, gamma_quad, series_A_pair
 from pviso.series import _basis, _l2_coefficients, _l2_solve, _terms, series_seed
+from pviso.series import _expansion, _in_sector, _series_pair
 from pviso.tau import dlog_tau_series
 
 P1 = Parameters(
@@ -201,6 +202,68 @@ def test_basis_on_points_matches_definition():
         for row, (n, k) in zip(got, _terms(degree)):
             want = np.array([(m if n < 0 else e) ** abs(n) * i ** (n + k - abs(n)) for e, m, i in points])
             assert np.max(np.abs(row - want) / np.abs(want)) <= 1e-14, (degree, n, k)
+
+
+# sector points: in P1's strip (40i, 200i, 400i), and outside it where
+# the lattice's Newton iterates go (3 + 60i, -3 + 45i, |E+-| < 1), or
+# where E+ or E- is large (30 + 30i, -20 + 25i, 10 + 100i)
+IN_STRIP = [40j, 200j, 400j]
+CONVERGENT = [*IN_STRIP, 3 + 60j, -3 + 45j]
+SECTOR = [*CONVERGENT, 30 + 30j, -20 + 25j, 10 + 100j]
+
+
+def test_strip_and_sector_points():
+    assert [domain_check(P1, x) for x in SECTOR] == [True] * 3 + [False] * 5
+    assert _in_sector(np.array(SECTOR)).all()
+    assert max(max(abs(e) for e in _expansion(P1, x)[:2]) for x in CONVERGENT) < 1.0
+
+
+def _worst_relative(one, many):
+    return max(float(np.max(np.abs(a - b)) / np.max(np.abs(a))) for a, b in zip(one, many))
+
+
+def test_expansion_on_an_array_is_the_expansion_at_each_point():
+    # one point takes cmath and Python's complex power and product, an
+    # array numpy's: they round differently, by 8.8e-16 relative on E+ at
+    # 200i, the worst of these points (1.4e-15 on E- over 1,660 random
+    # sector points with |x| <= 1000), so they agree to 1e-15, not bitwise
+    many = _expansion(P1, np.array(SECTOR))
+    for i, x in enumerate(SECTOR):
+        one = _expansion(P1, x)
+        assert all(isinstance(e, complex) for e in one)
+        assert _worst_relative(one, [e[i] for e in many]) <= 1e-15, x
+
+
+@pytest.mark.parametrize("degree", [5, 12])
+def test_series_pair_on_an_array_is_the_pair_at_each_point(degree):
+    # the expansions' few-ulp difference, where the series converges; a
+    # point with |E+-| >> 1 lets the degree-12 terms scale it by 12
+    A0, Ax, truncation = _series_pair(P1, np.array(CONVERGENT), degree)
+    for i, x in enumerate(CONVERGENT):
+        one = _series_pair(P1, x, degree)
+        assert one[0].shape == one[1].shape == (2, 2) and np.ndim(one[2]) == 0
+        assert _worst_relative(one, (A0[..., i], Ax[..., i], truncation[i])) <= 1e-15, x
+        if x in IN_STRIP:
+            assert all(np.array_equal(a, b) for a, b in zip(one, series_seed(P1, x, degree)))
+
+
+def test_in_sector_edges_on_a_point_and_an_array():
+    # |x| = 20 and arg x = 0.1 or pi - 0.1 are its edges; -0.0 and a point
+    # left of the imaginary axis take the principal branch (arg -pi, -0)
+    turn = cmath.exp(0.1j)
+    points = [
+        20j, 20.000001j, 30 * turn, 30 * turn * cmath.exp(1e-9j), -30 / turn,
+        -30 / turn * cmath.exp(-1e-9j), complex(25.0, -0.0), complex(-25.0, -0.0), 0j,
+        -30 + 40j, -300 + 20j, 40j + 1e-300, complex("nan"),
+    ]
+    many = _in_sector(np.array(points))
+    assert many.dtype == bool
+    assert [_in_sector(x) for x in points] == many.tolist()
+    assert many[[1, 3, 5, 9, 11]].all() and not many[[0, 6, 7, 8, 10, 12]].any()
+    # off the arg edges, the definition by the principal arg
+    for x in points[6:-1]:
+        off = abs(cmath.phase(x) - math.pi / 2)
+        assert _in_sector(x) == (off < math.pi / 2 - 0.1 and abs(x) > 20.0), x
 
 
 def test_series_seed_truncation_is_last_degree():

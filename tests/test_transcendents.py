@@ -351,7 +351,8 @@ def test_series_batch_keeps_rows_beside_an_overflowing_one():
     # and the others reach their roots, as they do in a batch of their own
     bad = 70 + 100j
     with np.errstate(all="ignore"):
-        assert not np.all(np.isfinite(_basis(*_expansion(PZ, bad)[:3], ROOT_SERIES_DEGREE)))
+        ep, em, ix, *_ = _expansion(PZ, np.array([bad]))
+        assert not np.all(np.isfinite(_basis(ep, em, ix, ROOT_SERIES_DEGREE)))
     seeds = [seed for _, seed in zero_pole_seeds(PZ, LatticeKind.ZERO, 10, 14).seeds]
     alone = _series_roots(PZ, seeds, LatticeKind.ZERO, 1e-9, 1e-12)
     with np.errstate(all="raise"):
